@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from . import kernels
-from .engine import (Outcome, SearchLimits, SearchResult, TraceRecord,
-                     NodeStatus, bfs, ebfs)
+from .engine import (Outcome, SearchLimits, SearchResult, TraceRecord, bfs,
+                     ebfs)
 from .errors import ConfigError, ModelError, StateParseError
 from .model import EssmRepresentation, SingleStateSolution, validate_path
 from .nqueens import (KnownState, KnownStateSpec, ROLE_EXPLICIT,
@@ -207,10 +207,6 @@ def _plan_runs(config: ExperimentConfig) -> list[_Plan]:
     return plans
 
 
-def _closed_count(result: SearchResult) -> int:
-    return sum(1 for node in result.db if node.f_status is NodeStatus.CLOSED)
-
-
 def _audit_solution(plan: _Plan, result: SearchResult) -> None:
     """Refuse to emit a success row whose solution does not check out."""
     sol = result.solution
@@ -274,7 +270,7 @@ def run_experiment(config: ExperimentConfig, *, trace_sink=None,
             seeding=plan.seeding,
             nodes_created=result.stats.nodes_created,
             expansions=result.stats.expansions,
-            closed_count=_closed_count(result),
+            closed_count=result.db.closed_count,
             solution_length=result.solution_length,
             outcome=result.outcome.value,
             millis=millis,

@@ -14,7 +14,9 @@ point the stored subgraph contains a start-to-goal chain through a known
 state. Running out of open nodes is failure; configured caps produce the
 distinct resource_limit outcome.
 
-Only forward function families are supported. Backward distance vectors are
+Only forward function families are supported; a representation's
+``successors`` hook, when set, stands in for them with one call per
+expansion and the same pairs in the same order. Backward distance vectors are
 carried (seeds get their diagonal zero) but never propagated, and the
 not_relevant status is handled on the revival path in expand without ever
 being produced here.
@@ -94,6 +96,7 @@ class NodeDatabase:
         self._by_state: dict = {}
         self._order: list[SearchNode] = []
         self.open_count = 0
+        self.closed_count = 0
         self.max_open_size = 0
         self.expansions = 0
         self.duplicate_hits = 0
@@ -138,6 +141,8 @@ class NodeDatabase:
     def mark_closed(self, node: SearchNode) -> None:
         if node.f_status is NodeStatus.OPEN:
             self.open_count -= 1
+        if node.f_status is not NodeStatus.CLOSED:
+            self.closed_count += 1
         node.f_status = NodeStatus.CLOSED
 
     def note_distance_change(self, node: SearchNode, old: tuple, new: tuple) -> None:
@@ -151,7 +156,8 @@ class NodeDatabase:
     def categories(self, rep: EssmRepresentation) -> tuple[list, list]:
         """Nodes whose states satisfy the initial / goal predicate, in
         discovery order. Each predicate runs once per node; the caches reset
-        if a different representation is passed."""
+        if a different representation is passed. An exception from either
+        predicate surfaces as ProblemDefinitionError."""
         if rep is not self._cat_rep:
             self._cat_rep = rep
             self._cat_upto = 0
@@ -160,11 +166,27 @@ class NodeDatabase:
         while self._cat_upto < len(self._order):
             node = self._order[self._cat_upto]
             self._cat_upto += 1
-            if rep.initial(node.state):
-                self._initial_nodes.append(node)
-            if rep.goal(node.state):
-                self._goal_nodes.append(node)
+            predicate = "initial"
+            try:
+                if rep.initial(node.state):
+                    self._initial_nodes.append(node)
+                predicate = "goal"
+                if rep.goal(node.state):
+                    self._goal_nodes.append(node)
+            except Exception as exc:
+                raise ProblemDefinitionError(
+                    f"{predicate} predicate failed on {node.state!r}") from exc
         return self._initial_nodes, self._goal_nodes
+
+
+def _walk(rep: EssmRepresentation, state: State) -> list:
+    """The (forward function index, successor) pairs ``rep.successors``
+    gives for ``state``, taken in full so that an exception raised while
+    producing them surfaces as ProblemDefinitionError."""
+    try:
+        return list(rep.successors(state))
+    except Exception as exc:
+        raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
 
 
 def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
@@ -229,7 +251,8 @@ def f_update(node: SearchNode, parent_distance: tuple,
 
 def expand(curr: SearchNode, db: NodeDatabase, rep: EssmRepresentation,
            on_change: Optional[OnChange] = None) -> None:
-    """Apply every forward function to curr's state.
+    """Apply every forward function to curr's state, through one call of
+    ``rep.successors`` when the representation has one.
 
     Unknown successors are created open; known ones are linked (reviving a
     not_relevant node to open). Every successor is relaxed against curr's
@@ -242,13 +265,29 @@ def expand(curr: SearchNode, db: NodeDatabase, rep: EssmRepresentation,
         on_change = db.note_distance_change
     db.expansions += 1
     k = len(curr.f_distance)
-    for f_index, f in enumerate(rep.forward_fns):
-        try:
-            successors = f(curr.state)
-        except Exception as exc:
-            raise ProblemDefinitionError(
-                f"forward function {f_index} failed on {curr.state!r}") from exc
-        for s2 in successors:
+    if rep.successors is None:
+        for f_index, f in enumerate(rep.forward_fns):
+            try:
+                successors = f(curr.state)
+            except Exception as exc:
+                raise ProblemDefinitionError(
+                    f"forward function {f_index} failed on {curr.state!r}") from exc
+            for s2 in successors:
+                node = db.lookup(s2)
+                if node is None:
+                    node = new_node(s2, k)
+                    db.add(node)
+                    db.mark_open(node)
+                else:
+                    db.duplicate_hits += 1
+                    if node.f_status is NodeStatus.NOT_RELEVANT:
+                        db.mark_open(node)
+                curr.f_children.add(node)
+                node.f_parents.add(curr)
+                node.parent_ops.setdefault(curr, f_index)
+                f_update(node, curr.f_distance, on_change=on_change)
+    else:
+        for f_index, s2 in _walk(rep, curr.state):
             node = db.lookup(s2)
             if node is None:
                 node = new_node(s2, k)
@@ -460,7 +499,11 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
     db = NodeDatabase(track_frontier=False)
     queue: deque[SearchNode] = deque()
     for s in rep.known_states:
-        if not rep.initial(s):
+        try:
+            is_initial = rep.initial(s)
+        except Exception as exc:
+            raise ProblemDefinitionError(f"initial predicate failed on {s!r}") from exc
+        if not is_initial:
             continue
         node = new_node(s, 1)
         node.f_distance = (0,)
@@ -479,13 +522,27 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         curr = queue.popleft()
         depth = curr.f_distance[0]
         db.expansions += 1
-        for f_index, f in enumerate(rep.forward_fns):
-            try:
-                successors = f(curr.state)
-            except Exception as exc:
-                raise ProblemDefinitionError(
-                    f"forward function {f_index} failed on {curr.state!r}") from exc
-            for s2 in successors:
+        if rep.successors is None:
+            for f_index, f in enumerate(rep.forward_fns):
+                try:
+                    successors = f(curr.state)
+                except Exception as exc:
+                    raise ProblemDefinitionError(
+                        f"forward function {f_index} failed on {curr.state!r}") from exc
+                for s2 in successors:
+                    if db.lookup(s2) is not None:
+                        db.duplicate_hits += 1
+                        continue
+                    node = new_node(s2, 1)
+                    node.f_distance = (depth + 1,)
+                    node.f_parents.add(curr)
+                    curr.f_children.add(node)
+                    node.parent_ops[curr] = f_index
+                    db.add(node)
+                    db.mark_open(node)
+                    queue.append(node)
+        else:
+            for f_index, s2 in _walk(rep, curr.state):
                 if db.lookup(s2) is not None:
                     db.duplicate_hits += 1
                     continue

@@ -2,7 +2,8 @@
 
 Two layers are timed: raw kernel calls (safe-square enumeration and the
 pairwise attack check over every reachable placement of a small board) and
-complete searches that exercise the kernels through the normal engine path.
+complete searches, which call the kernel only for the pairwise attack check
+(known states and full boards in the goal predicate).
 
     python -m essm_search.kernel_bench [--n 6] [--repeat 3]
 """

@@ -37,8 +37,8 @@ _active = _resolve(os.environ.get("ESSM_SEARCH_KERNEL", "auto"))
 
 
 def use(choice: str) -> None:
-    """Switch the active kernel. Affects safe-square computations started
-    after the call; not meant to be flipped while searches are running."""
+    """Switch the active kernel. Affects kernel calls made after the call;
+    not meant to be flipped while searches are running."""
     global _active
     _active = _resolve(choice)
 

@@ -14,14 +14,15 @@ concurrently; all types defined here are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import ClassificationError, ModelError
 
 State = Any
 
 SuccessorFn = Callable[[State], "frozenset[State]"]
+SuccessorWalk = Callable[[State], "Iterable[tuple[int, State]]"]
 Predicate = Callable[[State], bool]
 
 FORWARD = "forward"
@@ -96,6 +97,13 @@ class EssmRepresentation:
     to a finite set of states; at least one of the two families must be
     nonempty. Backward functions are carried for classification purposes,
     the bundled engine only follows forward ones.
+
+    ``successors`` is an optional faster route to the forward family: given
+    a state it returns the (function index, successor) pairs of
+    ``[(i, t) for i, f in enumerate(forward_fns) for t in f(state)]``, in
+    that order. When it is set the engine calls it once per expansion
+    instead of every forward function; ``forward_fns`` stay the reference
+    that :func:`validate_path` and :func:`classify` use.
     """
 
     known_states: tuple[State, ...]
@@ -103,6 +111,7 @@ class EssmRepresentation:
     goal: Predicate
     forward_fns: tuple[SuccessorFn, ...] = ()
     backward_fns: tuple[SuccessorFn, ...] = ()
+    successors: Optional[SuccessorWalk] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "known_states", tuple(self.known_states))
@@ -117,6 +126,11 @@ class EssmRepresentation:
             seen.add(s)
         if not self.forward_fns and not self.backward_fns:
             raise ModelError("at least one forward or backward function is required")
+        if self.successors is not None:
+            if not callable(self.successors):
+                raise ModelError("successors must be callable or None")
+            if not self.forward_fns:
+                raise ModelError("successors needs the forward functions it indexes")
 
     @property
     def k_count(self) -> int:
@@ -129,6 +143,7 @@ class FiniteSpace:
     desk-scale analysis such as :func:`classify`; searches never require one."""
 
     states: tuple[State, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
@@ -137,12 +152,13 @@ class FiniteSpace:
             if s in seen:
                 raise ModelError(f"duplicate state in space: {s!r}")
             seen.add(s)
+        object.__setattr__(self, "_members", frozenset(seen))
 
     def __len__(self) -> int:
         return len(self.states)
 
     def __contains__(self, state: State) -> bool:
-        return state in set(self.states)
+        return state in self._members
 
     @classmethod
     def from_text(cls, text: str, parse: Callable[[str], State]) -> "FiniteSpace":

@@ -1,11 +1,17 @@
 """The n-queens placement problem as a one-way forward representation.
 
-A state is a set of queen coordinates on an n-by-n board, held canonically
-as a sorted tuple of (row, col) pairs. There is one operator per square: it
-places a queen there when the square is empty and unattacked, and is
-inapplicable otherwise. Queens are never removed, so the reachable space is
-a directed acyclic graph layered by queen count, and one placement can reach
-another exactly when it is a subset of it.
+A state is a set of queen coordinates on an n-by-n board, held as an int
+mask with bit ``row * n + col`` set for each queen. There is one operator per
+square: it places a queen there when the square is empty and unattacked, and
+is inapplicable otherwise. Queens are never removed, so the reachable space
+is a directed acyclic graph layered by queen count, and one placement can
+reach another exactly when it is a subset of it.
+
+The representation also carries a ``successors`` walk that yields every
+placement of one state in a single pass over its free-square mask, using the
+bit-pattern technique (Richards 1997, "Backtracking algorithms in MCPL using
+bit patterns and recursion"): a per-size table gives, for each square, the
+mask of squares a queen there occupies or attacks.
 
 Serialized form: ``<n> ":" [ <r> "," <c> ( ";" <r> "," <c> )* ]`` with
 decimal integers and no whitespace, coordinate pairs sorted ascending.
@@ -15,58 +21,127 @@ Example: ``5:0,0;1,2``. Equal states serialize identically.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from . import kernels
 from .errors import ModelError, StateParseError
 from .model import EssmRepresentation, FiniteSpace
 
-Coord = "tuple[int, int]"
-
 _EMPTY_SET: frozenset = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
 class NQueensState:
     """An n-by-n board with zero or more non-attacked queens placed.
 
-    ``queens`` is canonicalized to a sorted tuple at construction, which
-    makes equality, hashing, and serialization agree. Instances are
-    immutable; the lazily computed safe-square set is cached per instance.
+    ``NQueensState(n, queens)`` takes the queens as (row, col) pairs in any
+    order and checks the board size, duplicates, the queen count and the
+    bounds. The state is stored as ``(n, mask)``; ``queens`` is the sorted
+    coordinate view of the mask, so equality, hashing and serialization
+    agree. Instances are immutable.
     """
 
-    n: int
-    queens: tuple
-    _safe: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_n", "_mask")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ModelError(f"board size must be a positive int, got {self.n!r}")
-        qs = tuple(sorted((int(r), int(c)) for r, c in self.queens))
+    def __init__(self, n: int, queens) -> None:
+        if not isinstance(n, int) or n < 1:
+            raise ModelError(f"board size must be a positive int, got {n!r}")
+        qs = tuple(sorted((int(r), int(c)) for r, c in queens))
         if len(set(qs)) != len(qs):
             raise ModelError("duplicate queen coordinates")
-        if len(qs) > self.n:
-            raise ModelError(f"{len(qs)} queens cannot be placed on a {self.n}x{self.n} board")
+        if len(qs) > n:
+            raise ModelError(f"{len(qs)} queens cannot be placed on a {n}x{n} board")
+        mask = 0
         for r, c in qs:
-            if not (0 <= r < self.n and 0 <= c < self.n):
-                raise ModelError(f"coordinate ({r},{c}) is outside a {self.n}x{self.n} board")
-        object.__setattr__(self, "queens", qs)
+            if not (0 <= r < n and 0 <= c < n):
+                raise ModelError(f"coordinate ({r},{c}) is outside a {n}x{n} board")
+            mask |= 1 << (r * n + c)
+        self._n = n
+        self._mask = mask
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def mask(self) -> int:
+        """Bit ``row * n + col`` is set for each queen."""
+        return self._mask
+
+    @property
+    def queens(self) -> tuple:
+        """The queens as (row, col) pairs, sorted ascending."""
+        return tuple(divmod(sq, self._n) for sq in _bits(self._mask))
 
     @property
     def safe_squares(self) -> frozenset:
         """Flat indexes (row * n + col) where one more queen can be placed."""
-        cached = self._safe
-        if cached is None:
-            cached = kernels.active().safe_squares(self.n, self.queens)
-            object.__setattr__(self, "_safe", cached)
-        return cached
+        return frozenset(_bits(_free_mask(self._n, self._mask)))
 
     def with_queen(self, r: int, c: int) -> "NQueensState":
-        return NQueensState(self.n, self.queens + ((r, c),))
+        return NQueensState(self._n, self.queens + ((r, c),))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not NQueensState:
+            return NotImplemented
+        return self._mask == other._mask and self._n == other._n
+
+    def __hash__(self) -> int:
+        return hash((self._n, self._mask))
+
+    def __repr__(self) -> str:
+        return f"NQueensState(n={self._n}, queens={self.queens!r})"
 
     def __str__(self) -> str:
         return format_state(self)
+
+
+def _trusted(n: int, mask: int, _new=object.__new__) -> NQueensState:
+    """A state built without checks, for a mask known to be a valid
+    placement on an n-by-n board (a valid parent plus one free square)."""
+    s = _new(NQueensState)
+    s._n = n
+    s._mask = mask
+    return s
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indexes of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@functools.lru_cache(maxsize=None)
+def _attack_table(n: int) -> tuple:
+    """``table[sq]``: the mask of ``sq`` and of every square a queen on
+    ``sq`` attacks (same row, column or diagonal). Built on first use."""
+    table = []
+    for r in range(n):
+        for c in range(n):
+            m = 0
+            for i in range(n):  # row i meets the four lines through (r, c)
+                m |= 1 << (r * n + i) | 1 << (i * n + c)
+                d = i - r
+                if 0 <= c + d < n:
+                    m |= 1 << (i * n + c + d)
+                if 0 <= c - d < n:
+                    m |= 1 << (i * n + c - d)
+            table.append(m)
+    return tuple(table)
+
+
+def _free_mask(n: int, mask: int) -> int:
+    """The squares of an n-by-n board that no queen of ``mask`` occupies
+    or attacks."""
+    attack = _attack_table(n)
+    blocked = 0
+    while mask:
+        low = mask & -mask
+        blocked |= attack[low.bit_length() - 1]
+        mask ^= low
+    return ((1 << (n * n)) - 1) & ~blocked
 
 
 def empty_board(n: int) -> NQueensState:
@@ -165,14 +240,33 @@ class KnownStateSpec:
 
 
 def _placement_fn(n: int, sq: int):
-    r, c = divmod(sq, n)
+    bit = 1 << sq
 
     def place(state: NQueensState) -> frozenset:
-        if sq in state.safe_squares:
-            return frozenset((state.with_queen(r, c),))
+        if state._n == n and _free_mask(n, state._mask) & bit:
+            return frozenset((_trusted(n, state._mask | bit),))
         return _EMPTY_SET
 
     return place
+
+
+def _successor_walk(n: int):
+    """Every (square, child) placement of a state, ascending by square: the
+    pairs the per-square placement functions give, in their index order."""
+
+    def successors(state: NQueensState) -> list:
+        if state._n != n:
+            return []
+        mask = state._mask
+        free = _free_mask(n, mask)
+        out = []
+        while free:
+            low = free & -free
+            out.append((low.bit_length() - 1, _trusted(n, mask | low)))
+            free ^= low
+        return out
+
+    return successors
 
 
 def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
@@ -181,7 +275,8 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
     Every known state must be a valid non-attacking placement of size n;
     an attacking placement cannot be extended to a solution and is rejected.
     The forward family has one placement function per square, in row-major
-    order (function index = row * n + col). There are no backward functions.
+    order (function index = row * n + col), and ``successors`` walks all of
+    them in one pass. There are no backward functions.
     """
     if known.n != n:
         raise ModelError(f"known states are for n={known.n}, expected n={n}")
@@ -191,10 +286,11 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
             raise ModelError(f"known state {format_state(s)} contains attacking queens")
 
     def initial(s: NQueensState) -> bool:
-        return s.n == n and not s.queens
+        return s._n == n and not s._mask
 
     def goal(s: NQueensState) -> bool:
-        return s.n == n and len(s.queens) == n and kernels.active().pairwise_safe(s.queens)
+        return (s._n == n and s._mask.bit_count() == n
+                and kernels.active().pairwise_safe(s.queens))
 
     return EssmRepresentation(
         known_states=known.states,
@@ -202,6 +298,7 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
         goal=goal,
         forward_fns=tuple(_placement_fn(n, sq) for sq in range(n * n)),
         backward_fns=(),
+        successors=_successor_walk(n),
     )
 
 
@@ -294,15 +391,13 @@ def enumerate_states(n: int) -> tuple:
     in lexicographic order. Exponential; meant for desk-scale boards."""
     out = [empty_board(n)]
 
-    def extend(state: NQueensState, start: int) -> None:
-        for sq in sorted(state.safe_squares):
-            if sq < start:
-                continue
-            child = state.with_queen(*divmod(sq, n))
-            out.append(child)
+    def extend(mask: int, start: int) -> None:
+        for sq in _bits(_free_mask(n, mask) >> start << start):
+            child = mask | (1 << sq)
+            out.append(_trusted(n, child))
             extend(child, sq + 1)
 
-    extend(out[0], 0)
+    extend(0, 0)
     return tuple(out)
 
 

@@ -1,6 +1,9 @@
 """Engine primitives (seed, select, expand, f_update, goal condition,
 path reconstruction) and the two search loops."""
 
+import dataclasses
+import random
+
 import pytest
 
 from essm_search import (INF, Edge, EssmRepresentation, ModelError,
@@ -272,6 +275,77 @@ def test_expand_wraps_operator_failures():
     seed(db, rep)
     with pytest.raises(ProblemDefinitionError, match="forward function 0"):
         expand(db.node_for(0), db, rep)
+
+
+def test_expand_wraps_successor_walk_failures():
+    def boom(s):
+        raise ValueError("no")
+
+    def lazy_boom(s):
+        yield 0, 1
+        raise ValueError("no")
+
+    for walk in (boom, lazy_boom):
+        rep = EssmRepresentation((0,), lambda s: s == 0, lambda s: False,
+                                 (lambda s: frozenset(),), successors=walk)
+        db = NodeDatabase()
+        seed(db, rep)
+        with pytest.raises(ProblemDefinitionError, match="successors"):
+            expand(db.node_for(0), db, rep)
+        with pytest.raises(ProblemDefinitionError, match="successors"):
+            bfs(rep)
+
+
+@pytest.mark.parametrize("search", [ebfs, bfs])
+def test_predicate_failures_are_problem_definition_errors(search):
+    def boom(s):
+        raise ValueError("no")
+
+    step = (lambda s: frozenset((s + 1,)) if s < 3 else frozenset(),)
+    rep = EssmRepresentation((0,), boom, lambda s: False, step)
+    with pytest.raises(ProblemDefinitionError, match="initial predicate"):
+        search(rep)
+    rep = EssmRepresentation((0,), lambda s: s == 0, boom, step)
+    with pytest.raises(ProblemDefinitionError, match="goal predicate"):
+        search(rep)
+    # a goal predicate that fails only on states the search discovers
+    rep = EssmRepresentation((0,), lambda s: s == 0,
+                             lambda s: s == 3 and boom(s), step)
+    with pytest.raises(ProblemDefinitionError, match="goal predicate failed on 3"):
+        search(rep)
+
+
+def derived_successors(rep):
+    """``rep`` with a successor walk built from its forward functions."""
+    def walk(s):
+        return [(i, t) for i, f in enumerate(rep.forward_fns) for t in f(s)]
+    return dataclasses.replace(rep, successors=walk)
+
+
+def search_record(result):
+    return ([n.state for n in result.db],
+            [{p.state: i for p, i in n.parent_ops.items()} for n in result.db],
+            result.stats, result.outcome, result.solution)
+
+
+@pytest.mark.parametrize("search", [ebfs, bfs])
+def test_derived_successor_walk_searches_like_the_forward_loop(search):
+    rng = random.Random(7)
+    edges = [(s, t) for s in range(40) for t in rng.sample(range(s + 1, 44), 3)]
+    edges += [(44, 45), (45, 12), (46, 20)]
+    for known, goal in (((0, 44, 46), (43,)), ((0, 12, 30), (41, 42)),
+                        ((0,), (99,))):
+        rep, _ = graph_rep(edges, known, initial=(0,), goal=goal)
+        plain, walked = search(rep), search(derived_successors(rep))
+        assert search_record(walked) == search_record(plain)
+    assert plain.outcome is Outcome.FAILURE
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_closed_count_matches_a_scan(n):
+    for result in (bfs(queens_rep(n)), ebfs(queens_rep(n, (n + 1) // 2))):
+        scan = sum(1 for node in result.db if node.f_status is NodeStatus.CLOSED)
+        assert result.db.closed_count == scan == result.stats.expansions
 
 
 def test_self_loop_terminates_as_failure():

@@ -56,6 +56,26 @@ def test_finite_space_rejects_duplicates():
     assert 2 in space and 9 not in space
 
 
+def test_finite_space_membership_matches_the_tuple():
+    states = ("a", (1, 2), 7, frozenset({3}))
+    space = FiniteSpace(states)
+    for s in states + ("b", (2, 1), 8, frozenset()):
+        assert (s in space) == (s in space.states)
+    assert "b" not in space
+
+
+def test_representation_checks_the_successor_walk():
+    f = lambda s: frozenset()
+    rep = EssmRepresentation((1,), lambda s: False, lambda s: False, (f,))
+    assert rep.successors is None
+    with pytest.raises(ModelError):
+        EssmRepresentation((1,), lambda s: False, lambda s: False, (f,),
+                           successors="not callable")
+    with pytest.raises(ModelError):
+        EssmRepresentation((1,), lambda s: False, lambda s: False, (), (f,),
+                           successors=lambda s: ())
+
+
 def test_finite_space_text_round_trip():
     space = FiniteSpace((3, 1, 2))
     text = space.to_text(str)

@@ -8,6 +8,7 @@ import pytest
 
 from essm_search import (ClassificationError, FiniteSpace, ModelError,
                          StateParseError, classify)
+from essm_search.kernels import queens_py
 from essm_search.nqueens import (KnownState, KnownStateSpec, NQueensState,
                                  ROLE_EXPLICIT, ROLE_INITIAL, empty_board,
                                  enumerate_space, enumerate_states,
@@ -60,6 +61,18 @@ def test_state_validation():
         NQueensState(2, ((0, 0), (0, 1), (1, 0)))
 
 
+def test_state_is_an_immutable_mask():
+    s = NQueensState(4, ((1, 3), (0, 1)))
+    assert (s.n, s.mask) == (4, (1 << 1) | (1 << 7))
+    assert empty_board(4).mask == 0
+    with pytest.raises(AttributeError):
+        s.n = 5
+    with pytest.raises(AttributeError):
+        s.mask = 0
+    assert s != NQueensState(5, ((1, 3), (0, 1)))
+    assert s != "4:0,1;1,3"
+
+
 def test_with_queen_keeps_canonical_form():
     s = empty_board(4).with_queen(2, 1).with_queen(0, 3)
     assert s.queens == ((0, 3), (2, 1))
@@ -76,9 +89,10 @@ def test_safe_squares_match_brute_force():
         assert s.safe_squares == expected
 
 
-def test_safe_squares_are_cached_per_instance():
-    s = NQueensState(5, ((0, 0),))
-    assert s.safe_squares is s.safe_squares
+def test_safe_squares_match_the_pure_kernel_on_every_reachable_state():
+    for n in range(1, 7):
+        for s in enumerate_states(n):
+            assert s.safe_squares == queens_py.safe_squares(n, s.queens)
 
 
 # --- text format -----------------------------------------------------------
@@ -202,6 +216,32 @@ def test_rep_operators_refuse_occupied_and_attacked_squares():
     assert rep.forward_fns[1](s) == frozenset()       # same row
     assert rep.forward_fns[5](s) == frozenset()       # diagonal (1,1)
     assert rep.forward_fns[6](s) == frozenset((s.with_queen(1, 2),))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_successor_walk_matches_the_placement_functions(n):
+    rep = nqueens_rep(n, single_known(n))
+    for s in enumerate_states(n):
+        assert list(rep.successors(s)) == [
+            (i, t) for i, f in enumerate(rep.forward_fns) for t in f(s)]
+    other = empty_board(n + 1)
+    assert list(rep.successors(other)) == []
+    assert all(f(other) == frozenset() for f in rep.forward_fns)
+
+
+def test_trusted_children_equal_their_public_twins():
+    for n in range(1, 6):
+        rep = nqueens_rep(n, single_known(n))
+        for s in enumerate_states(n):
+            for sq, child in rep.successors(s):
+                r, c = divmod(sq, n)
+                twin = NQueensState(n, s.queens + ((r, c),))
+                assert child == twin and twin == child
+                assert hash(child) == hash(twin)
+                assert str(child) == str(twin) and repr(child) == repr(twin)
+                assert child.queens == twin.queens
+                assert s.with_queen(r, c) == child
+                assert parse_state(str(child)) == child
 
 
 def test_rep_predicates():
