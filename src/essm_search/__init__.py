@@ -10,7 +10,7 @@ problem definition, and a benchmark CLI (``bench``) round the package out.
 
 from .engine import (INF, NodeDatabase, NodeStatus, Outcome, SearchLimits,
                      SearchNode, SearchResult, SearchStats, TraceRecord, bfs,
-                     ebfs, expand, f_update, goal_condition, new_node,
+                     ebfs, expand, f_update, goal_condition,
                      reconstruct_path, seed, select)
 from .errors import (ClassificationError, ConfigError, ModelError,
                      ProblemDefinitionError, SearchInvariantError,
@@ -37,6 +37,6 @@ __all__ = [
     "bfs", "classify", "ebfs", "empty_board", "enumerate_space",
     "enumerate_states", "expand", "f_update", "false_heuristic_state",
     "first_solution", "format_state", "goal_condition", "make_classical",
-    "new_node", "nqueens_rep", "on_solution_state", "parse_state",
+    "nqueens_rep", "on_solution_state", "parse_state",
     "reconstruct_path", "seed", "select", "validate_path",
 ]

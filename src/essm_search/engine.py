@@ -1,12 +1,13 @@
 """Multi-source breadth-first search with per-known-state distance vectors.
 
-Every discovered state gets exactly one node holding its status, its
-parent/child links, and a vector with the best known distance from each
-known state (index fixed by the order of ``known_states``). All known
-states are seeded as one frontier; when the subtree grown from one known
-state runs into the subtree of another, the distance update cascades
-through the already-closed nodes, so the merged subgraph immediately knows
-how far every node is from every source that reaches it.
+Every discovered state gets exactly one node, identified by an int id that
+is its discovery index. A node holds its status, its parent/child links, and
+a vector with the best known distance from each known state (index fixed by
+the order of ``known_states``). All known states are seeded as one frontier;
+when the subtree grown from one known state runs into the subtree of
+another, the distance update cascades through the already-closed nodes, so
+the merged subgraph immediately knows how far every node is from every
+source that reaches it.
 
 The search succeeds as soon as some discovered goal node has a finite
 distance from a known state that satisfies the initial predicate: at that
@@ -16,10 +17,7 @@ distinct resource_limit outcome.
 
 Only forward function families are supported; a representation's
 ``successors`` hook, when set, stands in for them with one call per
-expansion and the same pairs in the same order. Backward distance vectors are
-carried (seeds get their diagonal zero) but never propagated, and the
-not_relevant status is handled on the revival path in expand without ever
-being produced here.
+expansion and the same pairs in the same order.
 
 A node database belongs to one search on one thread. Searches over the same
 representation may run concurrently as long as each has its own database,
@@ -33,6 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt
 from typing import Callable, Iterator, Optional
 
 from .errors import ModelError, ProblemDefinitionError, SearchInvariantError
@@ -46,55 +45,108 @@ class NodeStatus(Enum):
     UNSET = "unset"
     OPEN = "open"
     CLOSED = "closed"
-    NOT_RELEVANT = "not_relevant"
+
+
+# status codes in NodeDatabase._status, indexes into _STATUSES
+_UNSET, _OPEN, _CLOSED = 0, 1, 2
+_STATUSES = (NodeStatus.UNSET, NodeStatus.OPEN, NodeStatus.CLOSED)
+
+
+def _pairs(flat: list) -> zip:
+    """(parent id, op) pairs of a flat parent list."""
+    it = iter(flat)
+    return zip(it, it)
 
 
 class SearchNode:
-    """Per-state search record. Nodes compare by identity; the database
-    guarantees at most one node per distinct state."""
+    """Read-only view of one node of a :class:`NodeDatabase`.
 
-    __slots__ = ("state", "f_status", "f_parents", "f_children",
-                 "f_distance", "b_distance", "order", "parent_ops")
+    Views are built on access and hold no data of their own: two views of
+    the same node in the same database are equal and hash alike. The links
+    come out in the order they were made; ``parent_ops`` maps each parent to
+    the forward function index of its first link. ``b_distance`` is 0 at
+    the index of the known state a seed was placed for and infinite
+    elsewhere (only a seed is at distance 0 from a known state).
+    """
 
-    def __init__(self, state: State, k_count: int):
-        self.state = state
-        self.f_status = NodeStatus.UNSET
-        self.f_parents: set = set()
-        self.f_children: set = set()
-        self.f_distance: tuple = (INF,) * k_count
-        self.b_distance: tuple = (INF,) * k_count
-        self.order = -1            # discovery index, assigned by NodeDatabase.add
-        self.parent_ops: dict = {}  # parent node -> forward fn index of the first link
+    __slots__ = ("_db", "_order")
+
+    def __init__(self, db: "NodeDatabase", order: int):
+        self._db = db
+        self._order = order
+
+    @property
+    def order(self) -> int:
+        """The node's id: its discovery index."""
+        return self._order
+
+    @property
+    def state(self) -> State:
+        return self._db._states[self._order]
+
+    @property
+    def f_status(self) -> NodeStatus:
+        return _STATUSES[self._db._status[self._order]]
+
+    @property
+    def f_distance(self) -> tuple:
+        return self._db._dist[self._order]
+
+    @property
+    def b_distance(self) -> tuple:
+        return tuple(0 if d == 0 else INF for d in self.f_distance)
+
+    @property
+    def f_children(self) -> tuple:
+        return tuple(map(self._db.node, self._db._children[self._order]))
+
+    @property
+    def f_parents(self) -> tuple:
+        return tuple(map(self._db.node, self._db._parents[self._order][::2]))
+
+    @property
+    def parent_ops(self) -> dict:
+        node = self._db.node
+        return {node(p): op for p, op in _pairs(self._db._parents[self._order])}
 
     def min_distance(self) -> float:
         return min(self.f_distance)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SearchNode:
+            return NotImplemented
+        return self._db is other._db and self._order == other._order
+
+    def __hash__(self) -> int:
+        return hash(self._order)
 
     def __repr__(self) -> str:
         return f"SearchNode({self.state!r}, {self.f_status.value}, f={self.f_distance})"
 
 
-def new_node(state: State, k_count: int) -> SearchNode:
-    """A fresh unset node with every distance entry infinite. Two calls with
-    equal states produce distinct records; deduplication is the database's
-    job, not this one's."""
-    if k_count < 1:
-        raise ModelError("a node needs at least one distance entry")
-    return SearchNode(state, k_count)
-
-
 class NodeDatabase:
-    """State-indexed store of search nodes in discovery order.
+    """Columnar store of search nodes, indexed by int id in discovery order.
+
+    Position ``i`` of each column belongs to node ``i``: its state, its
+    distance tuple (shared between nodes while their vectors are equal), its
+    status code, the ids of its children in link order, and a flat
+    ``[parent id, op, parent id, op, ...]`` list with one pair per distinct
+    parent in link order. Iterating the database yields read-only
+    :class:`SearchNode` views.
 
     Also owns the frontier index behind :func:`select`: a lazy-deletion heap
-    keyed by (min distance entry, discovery order), so selection stays cheap
-    while staying exactly "smallest min-entry, earliest discovered on ties".
-    Status and distance changes must go through mark_open / mark_closed /
-    note_distance_change to keep that index consistent.
+    of (min distance entry, id), so selection stays cheap while staying
+    exactly "smallest min-entry, earliest discovered on ties". Every change
+    of an open node's distances pushes a fresh entry.
     """
 
     def __init__(self, track_frontier: bool = True):
-        self._by_state: dict = {}
-        self._order: list[SearchNode] = []
+        self._ids: dict = {}
+        self._states: list = []
+        self._dist: list[tuple] = []
+        self._status = bytearray()
+        self._children: list[list[int]] = []
+        self._parents: list[list[int]] = []
         self.open_count = 0
         self.closed_count = 0
         self.max_open_size = 0
@@ -104,252 +156,284 @@ class NodeDatabase:
         # predicate caches for the termination check, advanced lazily
         self._cat_rep: EssmRepresentation | None = None
         self._cat_upto = 0
-        self._initial_nodes: list[SearchNode] = []
-        self._goal_nodes: list[SearchNode] = []
+        self._initial_ids: list[int] = []
+        self._goal_ids: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._states)
 
     def __iter__(self) -> Iterator[SearchNode]:
-        return iter(self._order)
+        return map(self.node, range(len(self._states)))
 
-    def lookup(self, state: State) -> Optional[SearchNode]:
-        return self._by_state.get(state)
+    def node(self, i: int) -> SearchNode:
+        """The view of node ``i``."""
+        return SearchNode(self, i)
 
-    def node_for(self, state: State) -> SearchNode:
-        node = self._by_state.get(state)
-        if node is None:
+    def lookup(self, state: State) -> Optional[int]:
+        return self._ids.get(state)
+
+    def node_for(self, state: State) -> int:
+        i = self._ids.get(state)
+        if i is None:
             raise ModelError(f"no node for state {state!r}")
-        return node
+        return i
 
-    def add(self, node: SearchNode) -> None:
-        if node.state in self._by_state:
-            raise ModelError(f"state already in database: {node.state!r}")
-        node.order = len(self._order)
-        self._by_state[node.state] = node
-        self._order.append(node)
+    def add(self, state: State, distance: tuple) -> int:
+        """A new unset node with no links; returns its id."""
+        if state in self._ids:
+            raise ModelError(f"state already in database: {state!r}")
+        distance = tuple(distance)
+        if not distance:
+            raise ModelError("a node needs at least one distance entry")
+        if self._dist and len(distance) != len(self._dist[0]):
+            raise ModelError("distance vector length mismatch")
+        i = len(self._states)
+        self._ids[state] = i
+        self._states.append(state)
+        self._dist.append(distance)
+        self._status.append(_UNSET)
+        self._children.append([])
+        self._parents.append([])
+        return i
 
-    def mark_open(self, node: SearchNode) -> None:
-        if node.f_status is not NodeStatus.OPEN:
+    def mark_open(self, i: int) -> None:
+        if self._status[i] != _OPEN:
             self.open_count += 1
             if self.open_count > self.max_open_size:
                 self.max_open_size = self.open_count
-        node.f_status = NodeStatus.OPEN
+            self._status[i] = _OPEN
         if self._frontier is not None:
-            heapq.heappush(self._frontier, (min(node.f_distance), node.order, node))
+            heapq.heappush(self._frontier, (min(self._dist[i]), i))
 
-    def mark_closed(self, node: SearchNode) -> None:
-        if node.f_status is NodeStatus.OPEN:
+    def note_distance_change(self, i: int, new: tuple) -> None:
+        """Node ``i``'s distances just dropped to ``new``: an open node gets
+        a fresh frontier entry under its new key."""
+        if self._status[i] == _OPEN and self._frontier is not None:
+            heapq.heappush(self._frontier, (min(new), i))
+
+    def mark_closed(self, i: int) -> None:
+        status = self._status[i]
+        if status == _OPEN:
             self.open_count -= 1
-        if node.f_status is not NodeStatus.CLOSED:
+        if status != _CLOSED:
             self.closed_count += 1
-        node.f_status = NodeStatus.CLOSED
-
-    def note_distance_change(self, node: SearchNode, old: tuple, new: tuple) -> None:
-        if node.f_status is NodeStatus.OPEN and self._frontier is not None:
-            heapq.heappush(self._frontier, (min(new), node.order, node))
+        self._status[i] = _CLOSED
 
     def open_nodes(self) -> list[SearchNode]:
         """Every open node, in discovery order. Linear scan; audits only."""
-        return [n for n in self._order if n.f_status is NodeStatus.OPEN]
+        return [self.node(i) for i, s in enumerate(self._status) if s == _OPEN]
 
     def categories(self, rep: EssmRepresentation) -> tuple[list, list]:
-        """Nodes whose states satisfy the initial / goal predicate, in
-        discovery order. Each predicate runs once per node; the caches reset
-        if a different representation is passed. An exception from either
-        predicate surfaces as ProblemDefinitionError."""
+        """Ids of the nodes whose states satisfy the initial / goal
+        predicate, in discovery order. Each predicate runs once per node;
+        the caches reset if a different representation is passed. An
+        exception from either predicate surfaces as ProblemDefinitionError."""
         if rep is not self._cat_rep:
             self._cat_rep = rep
+            self._initial_ids = []
+            self._goal_ids = []
             self._cat_upto = 0
-            self._initial_nodes = []
-            self._goal_nodes = []
-        while self._cat_upto < len(self._order):
-            node = self._order[self._cat_upto]
+        states = self._states
+        while self._cat_upto < len(states):
+            i = self._cat_upto
             self._cat_upto += 1
             predicate = "initial"
             try:
-                if rep.initial(node.state):
-                    self._initial_nodes.append(node)
+                if rep.initial(states[i]):
+                    self._initial_ids.append(i)
                 predicate = "goal"
-                if rep.goal(node.state):
-                    self._goal_nodes.append(node)
+                if rep.goal(states[i]):
+                    self._goal_ids.append(i)
             except Exception as exc:
                 raise ProblemDefinitionError(
-                    f"{predicate} predicate failed on {node.state!r}") from exc
-        return self._initial_nodes, self._goal_nodes
+                    f"{predicate} predicate failed on {states[i]!r}") from exc
+        return self._initial_ids, self._goal_ids
 
 
-def _walk(rep: EssmRepresentation, state: State) -> list:
-    """The (forward function index, successor) pairs ``rep.successors``
-    gives for ``state``, taken in full so that an exception raised while
-    producing them surfaces as ProblemDefinitionError."""
-    try:
-        return list(rep.successors(state))
-    except Exception as exc:
-        raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
+def _successors(rep: EssmRepresentation, state: State) -> list:
+    """The (forward function index, successor) pairs of ``state``: from one
+    call of ``rep.successors`` when the representation has the hook, else
+    from each forward function in index order. They are taken in full, so
+    that an exception raised while producing them surfaces as
+    ProblemDefinitionError."""
+    if rep.successors is not None:
+        try:
+            return list(rep.successors(state))
+        except Exception as exc:
+            raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
+    pairs = []
+    for f_index, f in enumerate(rep.forward_fns):
+        try:
+            pairs.extend((f_index, s2) for s2 in f(state))
+        except Exception as exc:
+            raise ProblemDefinitionError(
+                f"forward function {f_index} failed on {state!r}") from exc
+    return pairs
 
 
 def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
     """Insert one open node per known state, in order, with distance zero to
-    itself (both directions) and infinity elsewhere."""
+    itself and infinity elsewhere."""
     if len(db):
         raise ModelError("seeding requires an empty database")
     k = rep.k_count
     for i, s in enumerate(rep.known_states):
-        node = new_node(s, k)
-        diag = tuple(0 if j == i else INF for j in range(k))
-        node.f_distance = diag
-        node.b_distance = diag
-        db.add(node)
-        db.mark_open(node)
+        db.mark_open(db.add(s, tuple(0 if j == i else INF for j in range(k))))
 
 
-def select(db: NodeDatabase) -> Optional[SearchNode]:
-    """The open node whose smallest distance entry is minimal over all open
-    nodes, earliest discovered on ties; None when nothing is open."""
+def select(db: NodeDatabase) -> Optional[int]:
+    """The id of the open node whose smallest distance entry is minimal over
+    all open nodes, earliest discovered on ties; None when nothing is open."""
     frontier = db._frontier
     if frontier is None:
         raise ModelError("this database does not track a frontier")
+    status, dist = db._status, db._dist
     while frontier:
-        d, order, node = frontier[0]
-        if node.f_status is NodeStatus.OPEN and min(node.f_distance) == d:
-            return node
+        d, i = frontier[0]
+        if status[i] == _OPEN and min(dist[i]) == d:
+            return i
         heapq.heappop(frontier)  # stale: closed since, or distance dropped
     return None
 
 
-OnChange = Callable[[SearchNode, tuple, tuple], None]
+OnChange = Callable[[int, tuple, tuple], None]
 
 
-def f_update(node: SearchNode, parent_distance: tuple,
+def f_update(db: NodeDatabase, i: int, candidate: tuple,
              on_change: Optional[OnChange] = None) -> None:
-    """Componentwise relaxation: each entry becomes min(own, parent + 1).
+    """Componentwise relaxation of node ``i`` against ``candidate``, a
+    parent's distances plus one: each entry becomes min(own, candidate).
 
-    A change on a closed node re-relaxes all of its children, so better
-    distances flow through every already-explored subtree they can improve.
-    Entries never increase, and every relaxation lowers some finite entry,
-    which bounds the total work. A worklist replaces the natural recursion
-    so long chains cannot overflow the stack. ``on_change(node, old, new)``
-    fires for every node whose vector actually changed.
+    Every change goes through :meth:`NodeDatabase.note_distance_change`,
+    which re-keys an open node in the frontier; a change on a closed node
+    also relaxes each of its children, in link order, against its new
+    distances plus one, so better distances flow through every
+    already-explored subtree they can improve. Entries never increase, and
+    every relaxation lowers some finite entry, which bounds the total work.
+    A first-in first-out worklist replaces the natural recursion so long
+    chains cannot overflow the stack. ``on_change(id, old, new)`` fires for
+    every node whose vector actually changed, in the order the changes are
+    made.
     """
-    work = [(node, parent_distance)]
+    dist, status, children = db._dist, db._status, db._children
+    if len(candidate) != len(dist[i]):
+        raise ModelError("distance vector length mismatch")
+    work = deque(((i, candidate),))
     while work:
-        nd, pd = work.pop()
-        old = nd.f_distance
-        if len(pd) != len(old):
-            raise ModelError("distance vector length mismatch")
-        new = tuple(min(d, p + 1) for d, p in zip(old, pd))
+        x, cand = work.popleft()
+        old = dist[x]
+        new = tuple(map(min, old, cand))
         if new == old:
             continue
-        nd.f_distance = new
+        dist[x] = new
+        db.note_distance_change(x, new)
         if on_change is not None:
-            on_change(nd, old, new)
-        if nd.f_status is NodeStatus.CLOSED:
-            for child in nd.f_children:
-                work.append((child, new))
+            on_change(x, old, new)
+        if status[x] == _CLOSED:
+            plus1 = tuple(d + 1 for d in new)
+            work.extend((child, plus1) for child in children[x])
 
 
-def expand(curr: SearchNode, db: NodeDatabase, rep: EssmRepresentation,
+def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
            on_change: Optional[OnChange] = None) -> None:
-    """Apply every forward function to curr's state, through one call of
-    ``rep.successors`` when the representation has one.
+    """Link every successor of node ``curr`` and close it.
 
-    Unknown successors are created open; known ones are linked (reviving a
-    not_relevant node to open). Every successor is relaxed against curr's
-    current distances. curr is closed at the end. A successor equal to curr
-    itself just adds a self-link; the relaxation is a no-op on it.
+    Unknown successors are created open with curr's distances plus one and
+    enter the frontier once, already final. Known ones are linked (once per
+    parent, keeping the first operator) and relaxed against the same
+    vector; only a real drop runs :func:`f_update`. A successor equal to
+    curr itself just adds a self-link. ``on_change`` also fires for each new
+    node, from the all-infinite vector to its first one.
     """
-    if curr.f_status is not NodeStatus.OPEN:
+    status = db._status
+    if status[curr] != _OPEN:
         raise ModelError("only open nodes can be expanded")
-    if on_change is None:
-        on_change = db.note_distance_change
+    frontier = db._frontier
+    if frontier is None:
+        raise ModelError("this database does not track a frontier")
+    ids, states, dist = db._ids, db._states, db._dist
+    children, parents = db._children, db._parents
     db.expansions += 1
-    k = len(curr.f_distance)
-    if rep.successors is None:
-        for f_index, f in enumerate(rep.forward_fns):
-            try:
-                successors = f(curr.state)
-            except Exception as exc:
-                raise ProblemDefinitionError(
-                    f"forward function {f_index} failed on {curr.state!r}") from exc
-            for s2 in successors:
-                node = db.lookup(s2)
-                if node is None:
-                    node = new_node(s2, k)
-                    db.add(node)
-                    db.mark_open(node)
-                else:
-                    db.duplicate_hits += 1
-                    if node.f_status is NodeStatus.NOT_RELEVANT:
-                        db.mark_open(node)
-                curr.f_children.add(node)
-                node.f_parents.add(curr)
-                node.parent_ops.setdefault(curr, f_index)
-                f_update(node, curr.f_distance, on_change=on_change)
-    else:
-        for f_index, s2 in _walk(rep, curr.state):
-            node = db.lookup(s2)
-            if node is None:
-                node = new_node(s2, k)
-                db.add(node)
-                db.mark_open(node)
-            else:
-                db.duplicate_hits += 1
-                if node.f_status is NodeStatus.NOT_RELEVANT:
-                    db.mark_open(node)
-            curr.f_children.add(node)
-            node.f_parents.add(curr)
-            node.parent_ops.setdefault(curr, f_index)
-            f_update(node, curr.f_distance, on_change=on_change)
+    d = dist[curr]
+    plus1 = tuple(x + 1 for x in d)
+    plus1_min = min(plus1)
+    unreached = (INF,) * len(d)
+    kids = children[curr]
+    n = len(states)
+    created = duplicates = 0
+    for op, s2 in _successors(rep, states[curr]):
+        i = ids.setdefault(s2, n)
+        if i == n:
+            states.append(s2)
+            dist.append(plus1)
+            status.append(_OPEN)
+            children.append([])
+            parents.append([curr, op])
+            kids.append(i)
+            heapq.heappush(frontier, (plus1_min, i))
+            n += 1
+            created += 1
+            if on_change is not None:
+                on_change(i, unreached, plus1)
+            continue
+        duplicates += 1
+        par = parents[i]
+        # links to i are only made while their parent expands, so a link
+        # from curr, if any, is i's last one
+        if not par or par[-2] != curr:
+            par += (curr, op)
+            kids.append(i)
+        if any(map(gt, dist[i], plus1)):
+            f_update(db, i, plus1, on_change)
+    db.duplicate_hits += duplicates
+    db.open_count += created
+    if db.open_count > db.max_open_size:
+        db.max_open_size = db.open_count
     db.mark_closed(curr)
 
 
+def _live_indexes(db: NodeDatabase, initial_ids: list) -> list:
+    """Ascending indexes of the known states that are seeds satisfying the
+    initial predicate."""
+    dist = db._dist
+    return sorted({j for i in initial_ids for j, d in enumerate(dist[i]) if d == 0})
+
+
 def goal_condition(db: NodeDatabase, rep: EssmRepresentation) -> bool:
-    """True when some node satisfying ``initial`` has a finite backward
-    entry at an index where some node satisfying ``goal`` has a finite
-    forward entry. In a seeded search the finite backward entries are the
-    seeds' own indexes, so this reads: a discovered goal is connected to an
+    """True when some node satisfying ``goal`` has a finite distance from a
+    seed that satisfies ``initial``: a discovered goal is connected to an
     initial known state through the stored subgraph."""
-    initial_nodes, goal_nodes = db.categories(rep)
-    if not initial_nodes or not goal_nodes:
+    initial_ids, goal_ids = db.categories(rep)
+    if not initial_ids or not goal_ids:
         return False
-    live = set()
-    for s in initial_nodes:
-        for i, d in enumerate(s.b_distance):
-            if d != INF:
-                live.add(i)
-    if not live:
-        return False
-    for g in goal_nodes:
-        fd = g.f_distance
-        for i in live:
-            if fd[i] != INF:
-                return True
-    return False
+    live = _live_indexes(db, initial_ids)
+    dist = db._dist
+    return any(dist[g][j] != INF for g in goal_ids for j in live)
 
 
-def reconstruct_path(db: NodeDatabase, goal_node: SearchNode, i: int) -> Path | SingleStateSolution:
-    """Walk stored parent links from ``goal_node`` back to the known state
+def reconstruct_path(db: NodeDatabase, goal: int, i: int) -> Path | SingleStateSolution:
+    """Walk stored parent links from node ``goal`` back to the known state
     of index ``i``, at each step taking a parent exactly one step closer to
     that known state (earliest-discovered parent on ties). Distance zero at
     the goal itself means the known state is the goal: the result is then a
     single-state solution with no edges."""
-    dist = goal_node.f_distance[i]
+    states, dist_of = db._states, db._dist
+    dist = dist_of[goal][i]
     if dist == INF:
-        raise ModelError(f"node {goal_node.state!r} has no stored path from known state {i}")
+        raise ModelError(f"node {states[goal]!r} has no stored path from known state {i}")
     if dist == 0:
-        return SingleStateSolution(goal_node.state)
+        return SingleStateSolution(states[goal])
     edges: list[Edge] = []
-    cur = goal_node
+    cur = goal
     while dist > 0:
-        best = None
-        for p in cur.f_parents:
-            if p.f_distance[i] == dist - 1 and (best is None or p.order < best.order):
-                best = p
+        best = best_op = None
+        for p, op in _pairs(db._parents[cur]):
+            if dist_of[p][i] == dist - 1 and (best is None or p < best):
+                best, best_op = p, op
         if best is None:
             raise SearchInvariantError(
-                f"no parent of {cur.state!r} at distance {dist - 1} from known state {i}")
-        edges.append(Edge(best.state, cur.state, OpRef(FORWARD, cur.parent_ops[best])))
+                f"no parent of {states[cur]!r} at distance {dist - 1} from known state {i}")
+        edges.append(Edge(states[best], states[cur], OpRef(FORWARD, best_op)))
         cur = best
         dist -= 1
     edges.reverse()
@@ -432,19 +516,19 @@ def _success(db: NodeDatabase, rep: EssmRepresentation) -> SearchResult:
     """Locate the earliest-discovered goal node connected to an initial
     known state and reconstruct its path. Deterministic: goal nodes in
     discovery order, indexes ascending."""
-    initial_nodes, goal_nodes = db.categories(rep)
-    live = sorted({i for s in initial_nodes
-                   for i, d in enumerate(s.b_distance) if d != INF})
-    for g in goal_nodes:
-        for i in live:
-            if g.f_distance[i] != INF:
-                return SearchResult(Outcome.SUCCESS, reconstruct_path(db, g, i), _stats(db), db)
+    initial_ids, goal_ids = db.categories(rep)
+    live = _live_indexes(db, initial_ids)
+    for g in goal_ids:
+        for j in live:
+            if db._dist[g][j] != INF:
+                return SearchResult(Outcome.SUCCESS, reconstruct_path(db, g, j), _stats(db), db)
     raise SearchInvariantError("success reported without a qualifying goal node")
 
 
 def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
          trace: Optional[Tracer] = None,
-         on_distance_update: Optional[OnChange] = None) -> SearchResult:
+         on_distance_update: Optional[Callable[[SearchNode, tuple, tuple], None]] = None
+         ) -> SearchResult:
     """Run the multi-source search.
 
     The representation must be deterministic (every forward function yields
@@ -452,17 +536,17 @@ def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
     backward family is rejected. The termination condition is checked once
     right after seeding, so a known state that is both initial and goal
     succeeds with a zero-edge solution, and then after every expansion.
-    ``on_distance_update`` observes every distance-vector change (audits).
+    ``on_distance_update(node, old, new)`` observes every distance-vector
+    change, a new node's first vector included, with a view of the node
+    (audits).
     """
     if rep.backward_fns:
         raise ModelError("backward function families are not supported by this engine")
     db = NodeDatabase()
-    if on_distance_update is None:
-        notify: OnChange = db.note_distance_change
-    else:
-        def notify(node: SearchNode, old: tuple, new: tuple) -> None:
-            db.note_distance_change(node, old, new)
-            on_distance_update(node, old, new)
+    notify: Optional[OnChange] = None
+    if on_distance_update is not None:
+        def notify(i: int, old: tuple, new: tuple) -> None:
+            on_distance_update(db.node(i), old, new)
     seed(db, rep)
     if goal_condition(db, rep):
         return _success(db, rep)
@@ -473,11 +557,11 @@ def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         curr = select(db)
         if curr is None:
             return SearchResult(Outcome.FAILURE, None, _stats(db), db)
-        selected_min = min(curr.f_distance)
-        expand(curr, db, rep, on_change=notify)
+        selected_min = min(db._dist[curr])
+        expand(db, curr, rep, on_change=notify)
         step += 1
         if trace is not None:
-            trace(TraceRecord(step, curr.state, selected_min, db.open_count, len(db)))
+            trace(TraceRecord(step, db._states[curr], selected_min, db.open_count, len(db)))
         if goal_condition(db, rep):
             return _success(db, rep)
 
@@ -497,7 +581,7 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
     if rep.backward_fns:
         raise ModelError("backward function families are not supported by this engine")
     db = NodeDatabase(track_frontier=False)
-    queue: deque[SearchNode] = deque()
+    queue: deque[int] = deque()
     for s in rep.known_states:
         try:
             is_initial = rep.initial(s)
@@ -505,14 +589,13 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
             raise ProblemDefinitionError(f"initial predicate failed on {s!r}") from exc
         if not is_initial:
             continue
-        node = new_node(s, 1)
-        node.f_distance = (0,)
-        node.b_distance = (0,)
-        db.add(node)
-        db.mark_open(node)
-        queue.append(node)
+        i = db.add(s, (0,))
+        db.mark_open(i)
+        queue.append(i)
     if goal_condition(db, rep):
         return _success(db, rep)
+    ids, states, dist, status = db._ids, db._states, db._dist, db._status
+    children, parents = db._children, db._parents
     step = 0
     while True:
         if _limit_hit(db, limits):
@@ -520,43 +603,32 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         if not queue:
             return SearchResult(Outcome.FAILURE, None, _stats(db), db)
         curr = queue.popleft()
-        depth = curr.f_distance[0]
+        depth = dist[curr][0]
+        child_dist = (depth + 1,)
         db.expansions += 1
-        if rep.successors is None:
-            for f_index, f in enumerate(rep.forward_fns):
-                try:
-                    successors = f(curr.state)
-                except Exception as exc:
-                    raise ProblemDefinitionError(
-                        f"forward function {f_index} failed on {curr.state!r}") from exc
-                for s2 in successors:
-                    if db.lookup(s2) is not None:
-                        db.duplicate_hits += 1
-                        continue
-                    node = new_node(s2, 1)
-                    node.f_distance = (depth + 1,)
-                    node.f_parents.add(curr)
-                    curr.f_children.add(node)
-                    node.parent_ops[curr] = f_index
-                    db.add(node)
-                    db.mark_open(node)
-                    queue.append(node)
-        else:
-            for f_index, s2 in _walk(rep, curr.state):
-                if db.lookup(s2) is not None:
-                    db.duplicate_hits += 1
-                    continue
-                node = new_node(s2, 1)
-                node.f_distance = (depth + 1,)
-                node.f_parents.add(curr)
-                curr.f_children.add(node)
-                node.parent_ops[curr] = f_index
-                db.add(node)
-                db.mark_open(node)
-                queue.append(node)
+        kids = children[curr]
+        n = len(states)
+        created = duplicates = 0
+        for op, s2 in _successors(rep, states[curr]):
+            if ids.setdefault(s2, n) != n:
+                duplicates += 1
+                continue
+            states.append(s2)
+            dist.append(child_dist)
+            status.append(_OPEN)
+            children.append([])
+            parents.append([curr, op])
+            kids.append(n)
+            queue.append(n)
+            n += 1
+            created += 1
+        db.duplicate_hits += duplicates
+        db.open_count += created
+        if db.open_count > db.max_open_size:
+            db.max_open_size = db.open_count
         db.mark_closed(curr)
         step += 1
         if trace is not None:
-            trace(TraceRecord(step, curr.state, depth, db.open_count, len(db)))
+            trace(TraceRecord(step, states[curr], depth, db.open_count, len(db)))
         if goal_condition(db, rep):
             return _success(db, rep)

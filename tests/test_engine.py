@@ -3,6 +3,7 @@ path reconstruction) and the two search loops."""
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,10 +11,12 @@ from essm_search import (INF, Edge, EssmRepresentation, ModelError,
                          NodeDatabase, NodeStatus, Outcome, Path,
                          ProblemDefinitionError, SearchInvariantError,
                          SearchLimits, SingleStateSolution, bfs, ebfs, expand,
-                         f_update, goal_condition, make_classical, new_node,
+                         f_update, goal_condition, make_classical,
                          reconstruct_path, seed, select, validate_path)
-from essm_search.nqueens import (KnownState, KnownStateSpec, ROLE_INITIAL,
-                                 ROLE_ON_SOLUTION, empty_board, nqueens_rep,
+from essm_search.nqueens import (KnownState, KnownStateSpec,
+                                 ROLE_FALSE_HEURISTIC, ROLE_INITIAL,
+                                 ROLE_ON_SOLUTION, _attack_table, empty_board,
+                                 false_heuristic_state, nqueens_rep,
                                  on_solution_state)
 
 from helpers import (graph_rep, oracle_reachable, oracle_solution_depth,
@@ -21,12 +24,10 @@ from helpers import (graph_rep, oracle_reachable, oracle_solution_depth,
 
 
 def open_node(db, state, distances):
-    """Manually placed open node with a preset distance vector."""
-    node = new_node(state, len(distances))
-    node.f_distance = tuple(distances)
-    db.add(node)
-    db.mark_open(node)
-    return node
+    """Id of a manually placed open node with a preset distance vector."""
+    i = db.add(state, distances)
+    db.mark_open(i)
+    return i
 
 
 def queens_rep(n, *extra_depths):
@@ -36,37 +37,73 @@ def queens_rep(n, *extra_depths):
     return nqueens_rep(n, KnownStateSpec(tuple(entries)))
 
 
+def three_known_rep(n, depth):
+    """The empty board, a solution prefix and its false-heuristic state."""
+    prefix = on_solution_state(n, depth)
+    return nqueens_rep(n, KnownStateSpec((
+        KnownState(empty_board(n), ROLE_INITIAL),
+        KnownState(prefix, ROLE_ON_SOLUTION),
+        KnownState(false_heuristic_state(n, prefix), ROLE_FALSE_HEURISTIC))))
+
+
+def closed_chain(length):
+    """A database whose nodes 0..length-1 form a closed chain reached from
+    known state 0 only; known state -1 (the second index) reaches nothing."""
+    rep, _ = graph_rep([(i, i + 1) for i in range(length - 1)], known=[0, -1],
+                       initial=[], goal=[])
+    db = NodeDatabase()
+    seed(db, rep)
+    for i in range(length):
+        expand(db, db.node_for(i), rep)
+    return db
+
+
 # --- nodes and the database ---------------------------------------------
 
-def test_new_node_starts_unset_and_infinite():
-    node = new_node("s", 3)
+def test_added_node_starts_unset_and_unlinked():
+    db = NodeDatabase()
+    node = db.node(db.add("s", (INF, INF, INF)))
     assert node.f_status is NodeStatus.UNSET
     assert node.f_distance == (INF, INF, INF)
     assert node.b_distance == (INF, INF, INF)
     assert node.min_distance() == INF
-    assert not node.f_parents and not node.f_children
+    assert not node.f_parents and not node.f_children and not node.parent_ops
 
 
-def test_new_node_needs_a_distance_entry():
+def test_database_add_needs_distance_entries_of_one_length():
+    db = NodeDatabase()
     with pytest.raises(ModelError):
-        new_node("s", 0)
+        db.add("s", ())
+    db.add("a", (1, 2))
+    with pytest.raises(ModelError):
+        db.add("b", (1,))
 
 
-def test_new_node_calls_do_not_deduplicate():
-    assert new_node("s", 1) is not new_node("s", 1)
+def test_views_of_one_node_are_equal_and_read_only():
+    db, other = NodeDatabase(), NodeDatabase()
+    a, b = db.add("a", (1,)), db.add("b", (1,))
+    other.add("a", (1,))
+    assert db.node(a) == db.node(a) and db.node(a) is not db.node(a)
+    assert hash(db.node(a)) == hash(db.node(a))
+    assert db.node(a) != db.node(b)
+    assert db.node(a) != other.node(a)
+    assert len({db.node(a), db.node(a), db.node(b)}) == 2
+    with pytest.raises(AttributeError):
+        db.node(a).f_distance = (0,)
+    with pytest.raises(AttributeError):
+        db.node(a).order = 5
 
 
 def test_database_assigns_discovery_order_and_rejects_repeats():
     db = NodeDatabase()
-    a, b = new_node("a", 1), new_node("b", 1)
-    db.add(a)
-    db.add(b)
-    assert (a.order, b.order) == (0, 1)
-    assert list(db) == [a, b]
-    assert db.lookup("a") is a and db.lookup("zz") is None
-    assert db.node_for("b") is b
+    a, b = db.add("a", (1,)), db.add("b", (1,))
+    assert (a, b) == (0, 1)
+    assert [node.order for node in db] == [0, 1]
+    assert list(db) == [db.node(a), db.node(b)]
+    assert db.lookup("a") == a and db.lookup("zz") is None
+    assert db.node_for("b") == b
     with pytest.raises(ModelError):
-        db.add(new_node("a", 1))
+        db.add("a", (1,))
     with pytest.raises(ModelError):
         db.node_for("zz")
 
@@ -100,14 +137,14 @@ def test_select_prefers_smallest_min_entry():
     db = NodeDatabase()
     open_node(db, "far", (2, INF))
     near = open_node(db, "near", (INF, 1))
-    assert select(db) is near
+    assert select(db) == near
 
 
 def test_select_breaks_ties_by_discovery_order():
     db = NodeDatabase()
     first = open_node(db, "first", (1,))
     open_node(db, "second", (1,))
-    assert select(db) is first
+    assert select(db) == first
 
 
 def test_select_skips_closed_and_returns_none_when_drained():
@@ -115,7 +152,7 @@ def test_select_skips_closed_and_returns_none_when_drained():
     a = open_node(db, "a", (0,))
     b = open_node(db, "b", (1,))
     db.mark_closed(a)
-    assert select(db) is b
+    assert select(db) == b
     db.mark_closed(b)
     assert select(db) is None
 
@@ -124,9 +161,9 @@ def test_select_sees_distance_drops():
     db = NodeDatabase()
     slow = open_node(db, "slow", (5,))
     open_node(db, "mid", (3,))
-    f_update(slow, (0,), on_change=db.note_distance_change)
-    assert slow.f_distance == (1,)
-    assert select(db) is slow
+    f_update(db, slow, (1,))
+    assert db.node(slow).f_distance == (1,)
+    assert select(db) == slow
 
 
 def test_select_needs_a_tracked_frontier():
@@ -142,8 +179,8 @@ def test_select_matches_linear_scan_throughout_a_run():
     steps = 0
     while not goal_condition(db, rep):
         curr = select(db)
-        assert curr is scan_select(db)
-        expand(curr, db, rep)
+        assert db.node(curr) == scan_select(db)
+        expand(db, curr, rep)
         steps += 1
         assert steps < 10_000
     assert steps > 0
@@ -152,63 +189,53 @@ def test_select_matches_linear_scan_throughout_a_run():
 # --- relaxation ----------------------------------------------------------
 
 def test_f_update_relaxes_componentwise():
-    node = new_node("x", 2)
-    node.f_distance = (INF, 3)
-    f_update(node, (2, 5))
-    assert node.f_distance == (3, 3)
+    db = NodeDatabase()
+    x = db.add("x", (INF, 3))
+    f_update(db, x, (3, 6))
+    assert db.node(x).f_distance == (3, 3)
 
 
 def test_f_update_cascades_through_closed_children():
-    a, b, c = new_node("a", 2), new_node("b", 2), new_node("c", 2)
-    a.f_distance, b.f_distance, c.f_distance = (1, INF), (2, INF), (3, INF)
-    a.f_status = b.f_status = NodeStatus.CLOSED
-    a.f_children.add(b)
-    b.f_children.add(c)
+    db = closed_chain(3)
+    nodes = [db.node_for(i) for i in range(3)]
+    assert [db.node(i).f_status for i in nodes] == [NodeStatus.CLOSED] * 3
     changed = []
-    f_update(a, (INF, 1), on_change=lambda n, old, new: changed.append(n.state))
-    assert a.f_distance == (1, 2)
-    assert b.f_distance == (2, 3)
-    assert c.f_distance == (3, 4)
-    assert changed == ["a", "b", "c"]
+    f_update(db, nodes[0], (INF, 1), on_change=lambda i, old, new: changed.append(i))
+    assert [db.node(i).f_distance for i in nodes] == [(0, 1), (1, 2), (2, 3)]
+    assert changed == nodes
 
 
 def test_f_update_stops_where_nothing_improves():
-    a, b = new_node("a", 1), new_node("b", 1)
-    a.f_distance, b.f_distance = (1,), (2,)
-    a.f_status = NodeStatus.CLOSED
-    a.f_children.add(b)
+    db = closed_chain(2)
+    a, b = db.node_for(0), db.node_for(1)
     fired = []
-    f_update(a, (4,), on_change=lambda n, old, new: fired.append(n.state))
-    assert a.f_distance == (1,) and b.f_distance == (2,)
+    f_update(db, a, (3, INF), on_change=lambda i, old, new: fired.append(i))
+    assert db.node(a).f_distance == (0, INF) and db.node(b).f_distance == (1, INF)
     assert fired == []
 
 
 def test_f_update_entries_never_increase():
-    node = new_node("x", 3)
-    node.f_distance = (4, INF, 0)
+    db = NodeDatabase()
+    x = db.add("x", (4, INF, 0))
     seen = []
-    f_update(node, (0, 5, INF), on_change=lambda n, old, new: seen.append((old, new)))
-    assert node.f_distance == (1, 6, 0)
+    f_update(db, x, (1, 6, INF), on_change=lambda i, old, new: seen.append((old, new)))
+    assert db.node(x).f_distance == (1, 6, 0)
     for old, new in seen:
         assert all(b <= a for a, b in zip(old, new))
 
 
 def test_f_update_rejects_length_mismatch():
-    node = new_node("x", 2)
+    db = NodeDatabase()
+    x = db.add("x", (INF, INF))
     with pytest.raises(ModelError):
-        f_update(node, (1,))
+        f_update(db, x, (1,))
 
 
 def test_f_update_survives_long_closed_chains():
     # a chain far beyond the recursion limit must relax iteratively
-    nodes = [new_node(i, 1) for i in range(5000)]
-    for i, nd in enumerate(nodes):
-        nd.f_distance = (INF,)
-        nd.f_status = NodeStatus.CLOSED
-        if i:
-            nodes[i - 1].f_children.add(nd)
-    f_update(nodes[0], (0,))
-    assert nodes[-1].f_distance == (5000,)
+    db = closed_chain(5000)
+    f_update(db, db.node_for(0), (INF, 1))
+    assert db.node(db.node_for(4999)).f_distance == (4999, 5000)
 
 
 # --- expansion -----------------------------------------------------------
@@ -217,15 +244,15 @@ def test_expand_creates_open_children_with_relaxed_distances():
     rep = queens_rep(4)
     db = NodeDatabase()
     seed(db, rep)
-    root = db.node_for(empty_board(4))
-    expand(root, db, rep)
+    root = db.node(db.node_for(empty_board(4)))
+    expand(db, root.order, rep)
     assert root.f_status is NodeStatus.CLOSED
     assert len(db) == 17          # the seed plus one child per square
     assert db.expansions == 1
     for child in root.f_children:
         assert child.f_status is NodeStatus.OPEN
         assert child.f_distance == (1,)
-        assert child.f_parents == {root}
+        assert child.f_parents == (root,)
         r, c = child.state.queens[0]
         assert child.parent_ops[root] == r * 4 + c
 
@@ -235,9 +262,9 @@ def test_expand_requires_an_open_node():
     db = NodeDatabase()
     seed(db, rep)
     root = db.node_for(empty_board(4))
-    expand(root, db, rep)
+    expand(db, root, rep)
     with pytest.raises(ModelError):
-        expand(root, db, rep)
+        expand(db, root, rep)
 
 
 def test_expand_links_duplicates_instead_of_recreating():
@@ -246,25 +273,31 @@ def test_expand_links_duplicates_instead_of_recreating():
     seed(db, rep)
     root, known = list(db)
     assert known.f_distance == (INF, 0)
-    expand(root, db, rep)
+    expand(db, root.order, rep)
     assert db.duplicate_hits == 1
     assert known.f_distance == (1, 0)     # reached from the empty board too
     assert known in root.f_children and root in known.f_parents
     assert len(db) == 17                   # 16 children, one of them the seed
 
 
-def test_expand_revives_not_relevant_nodes():
-    rep, _ = graph_rep([(0, 1), (2, 1)], known=[0, 2], initial=[0], goal=[])
+def test_expand_links_each_parent_once_in_link_order():
+    # two operators of state 0 both produce state 1
+    step = (lambda s: frozenset((1,)) if s in (0, 2) else frozenset(),
+            lambda s: frozenset((1,)) if s == 0 else frozenset())
+    rep = EssmRepresentation((2, 0), lambda s: s == 0, lambda s: False, step)
     db = NodeDatabase()
     seed(db, rep)
-    expand(db.node_for(0), db, rep)
-    mid = db.node_for(1)
-    db.mark_closed(mid)
-    mid.f_status = NodeStatus.NOT_RELEVANT
-    expand(db.node_for(2), db, rep)
-    assert mid.f_status is NodeStatus.OPEN
+    zero, two = db.node(db.node_for(0)), db.node(db.node_for(2))
+    expand(db, zero.order, rep)
+    mid = db.node(db.node_for(1))
     assert db.duplicate_hits == 1
-    assert mid.f_parents == {db.node_for(0), db.node_for(2)}
+    assert zero.f_children == (mid,)
+    assert mid.parent_ops == {zero: 0}
+    expand(db, two.order, rep)
+    assert db.duplicate_hits == 2
+    assert mid.f_parents == (zero, two)
+    assert mid.parent_ops == {zero: 0, two: 0}
+    assert mid.f_distance == (1, 1)
 
 
 def test_expand_wraps_operator_failures():
@@ -274,7 +307,7 @@ def test_expand_wraps_operator_failures():
     db = NodeDatabase()
     seed(db, rep)
     with pytest.raises(ProblemDefinitionError, match="forward function 0"):
-        expand(db.node_for(0), db, rep)
+        expand(db, db.node_for(0), rep)
 
 
 def test_expand_wraps_successor_walk_failures():
@@ -291,7 +324,7 @@ def test_expand_wraps_successor_walk_failures():
         db = NodeDatabase()
         seed(db, rep)
         with pytest.raises(ProblemDefinitionError, match="successors"):
-            expand(db.node_for(0), db, rep)
+            expand(db, db.node_for(0), rep)
         with pytest.raises(ProblemDefinitionError, match="successors"):
             bfs(rep)
 
@@ -371,12 +404,12 @@ def test_goal_condition_holds_once_subgraphs_chain():
     seed(db, rep)
     # the goal node exists from the start, but nothing connects it yet
     assert not goal_condition(db, rep)
-    expand(db.node_for(0), db, rep)
+    expand(db, db.node_for(0), rep)
     assert not goal_condition(db, rep)
-    expand(db.node_for(2), db, rep)
+    expand(db, db.node_for(2), rep)
     assert not goal_condition(db, rep)
-    expand(db.node_for(1), db, rep)
-    assert db.node_for(2).f_distance == (2, 0)
+    expand(db, db.node_for(1), rep)
+    assert db.node(db.node_for(2)).f_distance == (2, 0)
     assert goal_condition(db, rep)
 
 
@@ -403,25 +436,25 @@ def test_reconstruct_rejects_unreached_index():
 
 
 def test_reconstruct_walks_earliest_parent_on_ties():
+    # d has parents b and c, both one step from a; b is discovered first
+    rep, _ = graph_rep([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("c", "e")],
+                       known=["a"], initial=["a"], goal=[])
     db = NodeDatabase()
-    a = open_node(db, "a", (0,))
-    b = open_node(db, "b", (1,))
-    c = open_node(db, "c", (1,))
-    d = open_node(db, "d", (2,))
-    b.f_parents, b.parent_ops = {a}, {a: 0}
-    c.f_parents, c.parent_ops = {a}, {a: 1}
-    d.f_parents, d.parent_ops = {b, c}, {b: 5, c: 6}
-    path = reconstruct_path(db, d, 0)
+    seed(db, rep)
+    for state in "abc":
+        expand(db, db.node_for(state), rep)
+    path = reconstruct_path(db, db.node_for("d"), 0)
     assert [e.src for e in path.edges] == ["a", "b"]
-    assert [e.op.index for e in path.edges] == [0, 5]
+    assert [e.op.index for e in path.edges] == [0, 0]
     assert path.states() == ("a", "b", "d")
+    path = reconstruct_path(db, db.node_for("e"), 0)
+    assert [e.op.index for e in path.edges] == [1, 1]
 
 
 def test_reconstruct_detects_missing_parent_gradient():
     db = NodeDatabase()
+    open_node(db, "y", (1,))
     stuck = open_node(db, "x", (2,))
-    peer = open_node(db, "y", (2,))
-    stuck.f_parents = {peer}
     with pytest.raises(SearchInvariantError):
         reconstruct_path(db, stuck, 0)
 
@@ -518,11 +551,18 @@ def test_ebfs_stored_distances_match_per_source_sweep():
 
 
 def test_ebfs_runs_are_deterministic():
-    first = ebfs(queens_rep(5, 2))
-    second = ebfs(queens_rep(5, 2))
+    def run():
+        events = []
+        result = ebfs(three_known_rep(7, 3), on_distance_update=lambda node, old, new:
+                      events.append((node.state, old, new)))
+        return result, events
+
+    (first, first_events), (second, second_events) = run(), run()
     assert [n.state for n in first.db] == [n.state for n in second.db]
     assert first.stats == second.stats
     assert first.solution == second.solution
+    assert len(first_events) > first.stats.nodes_created
+    assert first_events == second_events
 
 
 def test_stats_are_internally_consistent():
@@ -581,3 +621,20 @@ def test_bfs_respects_caps():
     capped = bfs(queens_rep(5), limits=SearchLimits(max_expansions=2))
     assert capped.outcome is Outcome.RESOURCE_LIMIT
     assert capped.stats.expansions == 2
+
+
+# --- memory -------------------------------------------------------------
+
+@pytest.mark.parametrize("search, rep", [(bfs, queens_rep(7)),
+                                         (ebfs, three_known_rep(7, 3))],
+                         ids=["bfs", "ebfs3"])
+def test_search_memory_per_node_stays_small(search, rep):
+    _attack_table(7)  # built once per process; not part of the search
+    tracemalloc.start()
+    try:
+        result = search(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.outcome is Outcome.SUCCESS
+    assert peak / result.stats.nodes_created <= 600
