@@ -338,12 +338,15 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
            on_change: Optional[OnChange] = None) -> None:
     """Link every successor of node ``curr`` and close it.
 
-    Unknown successors are created open with curr's distances plus one and
-    enter the frontier once, already final. Known ones are linked (once per
-    parent, keeping the first operator) and relaxed against the same
-    vector; only a real drop runs :func:`f_update`. A successor equal to
-    curr itself just adds a self-link. ``on_change`` also fires for each new
-    node, from the all-infinite vector to its first one.
+    curr's distances plus one are computed once: curr's own vector cannot
+    drop while it expands, since every change made here is curr's
+    distances plus at least one. Unknown successors are created open with
+    that vector and enter the frontier once, already final. Known ones are
+    linked (once per parent, keeping the first operator) and relaxed
+    against the same vector; only a real drop runs :func:`f_update`. A
+    successor equal to curr itself just adds a self-link. ``on_change``
+    also fires for each new node, from the all-infinite vector to its
+    first one.
     """
     status = db._status
     if status[curr] != _OPEN:
@@ -357,10 +360,9 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     d = dist[curr]
     plus1 = tuple(x + 1 for x in d)
     plus1_min = min(plus1)
-    unreached = (INF,) * len(d)
     kids = children[curr]
-    n = len(states)
-    created = duplicates = 0
+    first = n = len(states)
+    duplicates = 0
     for op, s2 in _successors(rep, states[curr]):
         i = ids.setdefault(s2, n)
         if i == n:
@@ -372,9 +374,8 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
             kids.append(i)
             heapq.heappush(frontier, (plus1_min, i))
             n += 1
-            created += 1
             if on_change is not None:
-                on_change(i, unreached, plus1)
+                on_change(i, (INF,) * len(plus1), plus1)
             continue
         duplicates += 1
         par = parents[i]
@@ -386,7 +387,7 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
         if any(map(gt, dist[i], plus1)):
             f_update(db, i, plus1, on_change)
     db.duplicate_hits += duplicates
-    db.open_count += created
+    db.open_count += n - first
     if db.open_count > db.max_open_size:
         db.max_open_size = db.open_count
     db.mark_closed(curr)
@@ -406,9 +407,12 @@ def goal_condition(db: NodeDatabase, rep: EssmRepresentation) -> bool:
     initial_ids, goal_ids = db.categories(rep)
     if not initial_ids or not goal_ids:
         return False
-    live = _live_indexes(db, initial_ids)
     dist = db._dist
-    return any(dist[g][j] != INF for g in goal_ids for j in live)
+    for j in _live_indexes(db, initial_ids):
+        for g in goal_ids:
+            if dist[g][j] != INF:
+                return True
+    return False
 
 
 def reconstruct_path(db: NodeDatabase, goal: int, i: int) -> Path | SingleStateSolution:
@@ -607,8 +611,8 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         child_dist = (depth + 1,)
         db.expansions += 1
         kids = children[curr]
-        n = len(states)
-        created = duplicates = 0
+        first = n = len(states)
+        duplicates = 0
         for op, s2 in _successors(rep, states[curr]):
             if ids.setdefault(s2, n) != n:
                 duplicates += 1
@@ -621,9 +625,8 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
             kids.append(n)
             queue.append(n)
             n += 1
-            created += 1
         db.duplicate_hits += duplicates
-        db.open_count += created
+        db.open_count += n - first
         if db.open_count > db.max_open_size:
             db.max_open_size = db.open_count
         db.mark_closed(curr)
