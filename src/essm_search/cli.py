@@ -2,8 +2,7 @@
 
 Example:
 
-    bench --problem nqueens --n 5..8 --algo bfs,ebfs \\
-          --known solution-prefix:2 --format csv
+    bench --n 5..8 --algo bfs,ebfs --known solution-prefix:2 --format csv
 
 The initial state (the empty board) is always the first known state; each
 ``--known`` adds one more, in the order given. Generators available:
@@ -28,7 +27,6 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-from . import kernels
 from .engine import (Outcome, SearchLimits, SearchResult, TraceRecord, bfs,
                      ebfs)
 from .errors import ConfigError, ModelError, StateParseError
@@ -37,6 +35,8 @@ from .nqueens import (KnownState, KnownStateSpec, ROLE_EXPLICIT,
                       ROLE_FALSE_HEURISTIC, ROLE_INITIAL, ROLE_ON_SOLUTION,
                       empty_board, false_heuristic_state, format_state,
                       nqueens_rep, on_solution_state, parse_state)
+
+PROBLEM = "nqueens"
 
 CSV_COLUMNS = ("problem", "n", "algorithm", "k_count", "seeding",
                "nodes_created", "expansions", "closed_count",
@@ -50,27 +50,20 @@ ALGORITHMS = ("bfs", "ebfs")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one invocation runs. ``known_specs`` are the raw --known
-    values, resolved per board size when the runs are planned.
-    ``random_seed`` is accepted for interface stability; every generator in
-    this package is deterministic, so it is currently unused."""
+    values, resolved per board size when the runs are planned."""
 
     ns: tuple[int, ...]
     algorithms: tuple[str, ...] = ALGORITHMS
-    problem: str = "nqueens"
     known_specs: tuple[str, ...] = ()
     max_nodes: int | None = None
     max_expansions: int | None = None
     output_format: str = "csv"
     trace: bool = False
-    kernel: str = "auto"
-    random_seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ns", tuple(self.ns))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "known_specs", tuple(self.known_specs))
-        if self.problem != "nqueens":
-            raise ConfigError(f"unknown problem {self.problem!r}")
         if not self.ns:
             raise ConfigError("at least one board size is required")
         if any(n < 1 for n in self.ns):
@@ -241,7 +234,6 @@ def run_experiment(config: ExperimentConfig, *, trace_sink=None,
         trace_sink = sys.stderr
     if warn_sink is None:
         warn_sink = sys.stderr
-    kernels.use(config.kernel)
     plans = _plan_runs(config)
     limits = None
     if config.max_nodes is not None or config.max_expansions is not None:
@@ -253,7 +245,7 @@ def run_experiment(config: ExperimentConfig, *, trace_sink=None,
             print(f"warning: {plan.warning}", file=warn_sink)
         tracer = None
         if config.trace:
-            print(f"# trace problem={config.problem} n={plan.n} "
+            print(f"# trace problem={PROBLEM} n={plan.n} "
                   f"algorithm={plan.algorithm} seeding={plan.seeding}", file=trace_sink)
             tracer = _trace_writer(plan, trace_sink)
         run = ebfs if plan.algorithm == "ebfs" else bfs
@@ -263,7 +255,7 @@ def run_experiment(config: ExperimentConfig, *, trace_sink=None,
         if result.outcome is Outcome.SUCCESS:
             _audit_solution(plan, result)
         reports.append(ExperimentReport(
-            problem=config.problem,
+            problem=PROBLEM,
             n=plan.n,
             algorithm=plan.algorithm,
             k_count=plan.k_count,
@@ -299,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bench",
         description="Compare single-source and multi-source breadth-first "
                     "search on n-queens boards.")
-    parser.add_argument("--problem", default="nqueens",
-                        help="problem family (only nqueens is available)")
     parser.add_argument("--n", required=True,
                         help="board sizes: 6, 5..8, or a comma list of both")
     parser.add_argument("--algo", default="bfs,ebfs",
@@ -318,11 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop a run once this many nodes exist")
     parser.add_argument("--max-expansions", type=int, default=None,
                         help="stop a run after this many expansions")
-    parser.add_argument("--kernel", default="auto",
-                        choices=("auto", "compiled", "pure"),
-                        help="board kernel implementation to use")
-    parser.add_argument("--seed", type=int, default=None, dest="random_seed",
-                        help="random seed (reserved; all generators are deterministic)")
     return parser
 
 
@@ -332,17 +317,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = ExperimentConfig(
             ns=parse_n_values(args.n),
             algorithms=tuple(a.strip() for a in args.algo.split(",") if a.strip()),
-            problem=args.problem,
             known_specs=tuple(args.known),
             max_nodes=args.max_nodes,
             max_expansions=args.max_expansions,
             output_format=args.output_format,
             trace=args.trace,
-            kernel=args.kernel,
-            random_seed=args.random_seed,
         )
-        if config.kernel == "compiled" and not kernels.compiled_available():
-            raise ConfigError("compiled kernels are not available in this build")
         reports = run_experiment(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,6 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import kernels
 from .errors import ModelError, StateParseError
 from .model import EssmRepresentation, FiniteSpace
 
@@ -87,7 +86,9 @@ class NQueensState:
         return self._mask == other._mask and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash((self._n, self._mask))
+        # equal states have equal masks; boards of two sizes may share a
+        # mask, and __eq__ tells them apart
+        return hash(self._mask)
 
     def __repr__(self) -> str:
         return f"NQueensState(n={self._n}, queens={self.queens!r})"
@@ -103,6 +104,18 @@ def _trusted(n: int, mask: int, _new=object.__new__) -> NQueensState:
     s._n = n
     s._mask = mask
     return s
+
+
+def _pairwise_safe(queens: tuple) -> bool:
+    """True when no two of the (row, col) pairs share a row, a column or a
+    diagonal."""
+    for i in range(len(queens)):
+        r1, c1 = queens[i]
+        for j in range(i + 1, len(queens)):
+            r2, c2 = queens[j]
+            if r1 == r2 or c1 == c2 or abs(r1 - r2) == abs(c1 - c2):
+                return False
+    return True
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -280,9 +293,8 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
     """
     if known.n != n:
         raise ModelError(f"known states are for n={known.n}, expected n={n}")
-    kern = kernels.active()
     for s in known.states:
-        if not kern.pairwise_safe(s.queens):
+        if not _pairwise_safe(s.queens):
             raise ModelError(f"known state {format_state(s)} contains attacking queens")
 
     def initial(s: NQueensState) -> bool:
@@ -290,7 +302,7 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
 
     def goal(s: NQueensState) -> bool:
         return (s._n == n and s._mask.bit_count() == n
-                and kernels.active().pairwise_safe(s.queens))
+                and _pairwise_safe(s.queens))
 
     return EssmRepresentation(
         known_states=known.states,
@@ -378,7 +390,7 @@ def false_heuristic_state(n: int, other: NQueensState) -> NQueensState:
     if not other.queens:
         raise ModelError("the empty placement is comparable to everything; "
                          "a false-heuristic mate for it does not exist")
-    if not kernels.active().pairwise_safe(other.queens):
+    if not _pairwise_safe(other.queens):
         raise ModelError("reference state contains attacking queens")
     for queens in _lex_placements(n, len(other.queens)):
         if queens != other.queens:

@@ -34,8 +34,6 @@ def test_parse_n_values_rejects_garbage(text):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        config(problem="towers")
-    with pytest.raises(ConfigError):
         config(ns=())
     with pytest.raises(ConfigError):
         config(ns=(0,))
@@ -198,10 +196,6 @@ def test_main_config_error_exit(capsys):
     assert err.startswith("error:")
 
 
-def test_main_rejects_unknown_problem(capsys):
-    assert main(["--problem", "towers", "--n", "4"]) == 2
-
-
 def test_main_json_format(capsys):
     code = main(["--n", "4", "--algo", "ebfs", "--format", "json"])
     assert code == 0
@@ -215,10 +209,6 @@ def test_main_trace_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err.startswith("# trace")
-
-
-def test_main_pure_kernel_runs(capsys):
-    assert main(["--n", "4", "--kernel", "pure"]) == 0
 
 
 def test_main_smallest_board(capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from essm_search import (ClassificationError, FiniteSpace, ModelError,
                          StateParseError, classify)
-from essm_search.kernels import queens_py
 from essm_search.nqueens import (KnownState, KnownStateSpec, NQueensState,
                                  ROLE_EXPLICIT, ROLE_INITIAL, empty_board,
                                  enumerate_space, enumerate_states,
@@ -79,20 +78,13 @@ def test_with_queen_keeps_canonical_form():
 
 
 def test_safe_squares_match_brute_force():
-    for queens in [(), ((0, 0),), ((0, 1), (1, 3)), ((0, 0), (1, 2))]:
-        s = NQueensState(4, queens)
-        expected = {
-            r * 4 + c
-            for r in range(4) for c in range(4)
-            if (r, c) not in queens and all(not attacks((r, c), q) for q in queens)
-        }
-        assert s.safe_squares == expected
-
-
-def test_safe_squares_match_the_pure_kernel_on_every_reachable_state():
     for n in range(1, 7):
+        squares = [(r, c) for r in range(n) for c in range(n)]
         for s in enumerate_states(n):
-            assert s.safe_squares == queens_py.safe_squares(n, s.queens)
+            assert s.safe_squares == {
+                r * n + c for r, c in squares
+                if (r, c) not in s.queens
+                and all(not attacks((r, c), q) for q in s.queens)}
 
 
 # --- text format -----------------------------------------------------------
@@ -262,6 +254,25 @@ def test_rep_rejects_bad_known_states():
                                            ROLE_EXPLICIT),))
     with pytest.raises(ModelError):
         nqueens_rep(4, attacking)
+
+
+def test_goal_and_known_state_check_agree_with_the_attack_predicate():
+    for n in (4, 5):
+        rep = nqueens_rep(n, single_known(n))
+        squares = [(r, c) for r in range(n) for c in range(n)]
+        for queens in itertools.combinations(squares, n):
+            safe = all(not attacks(a, b) for a, b in itertools.combinations(queens, 2))
+            assert rep.goal(NQueensState(n, queens)) == safe
+    squares = [(r, c) for r in range(4) for c in range(4)]
+    for size in (2, 3):
+        for queens in itertools.combinations(squares, size):
+            spec = KnownStateSpec((KnownState(empty_board(4), ROLE_INITIAL),
+                                   KnownState(NQueensState(4, queens), ROLE_EXPLICIT)))
+            if any(attacks(a, b) for a, b in itertools.combinations(queens, 2)):
+                with pytest.raises(ModelError):
+                    nqueens_rep(4, spec)
+            else:
+                assert nqueens_rep(4, spec).known_states == spec.states
 
 
 def test_rep_preserves_known_state_order():
