@@ -77,14 +77,26 @@ def test_with_queen_keeps_canonical_form():
     assert s.queens == ((0, 3), (2, 1))
 
 
+def brute_safe_squares(n, queens):
+    """Free squares that no queen attacks, by the independent predicate."""
+    return {
+        r * n + c
+        for r in range(n) for c in range(n)
+        if (r, c) not in queens and all(not attacks((r, c), q) for q in queens)
+    }
+
+
 def test_safe_squares_match_brute_force():
+    for queens in [(), ((0, 0),), ((0, 1), (1, 3)), ((0, 0), (1, 2))]:
+        assert NQueensState(4, queens).safe_squares == brute_safe_squares(4, queens)
+
+
+def test_safe_squares_match_the_pure_kernel_on_every_reachable_state():
+    # The reference is the square-by-square attack check that the removed
+    # pure-Python kernel computed; the bitmask tables must agree with it.
     for n in range(1, 7):
-        squares = [(r, c) for r in range(n) for c in range(n)]
         for s in enumerate_states(n):
-            assert s.safe_squares == {
-                r * n + c for r, c in squares
-                if (r, c) not in s.queens
-                and all(not attacks((r, c), q) for q in s.queens)}
+            assert s.safe_squares == brute_safe_squares(n, s.queens)
 
 
 # --- text format -----------------------------------------------------------
