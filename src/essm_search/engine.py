@@ -10,14 +10,16 @@ the merged subgraph immediately knows how far every node is from every
 source that reaches it.
 
 The search succeeds as soon as some discovered goal node has a finite
-distance from a known state that satisfies the initial predicate: at that
-point the stored subgraph contains a start-to-goal chain through a known
-state. Running out of open nodes is failure; configured caps produce the
-distinct resource_limit outcome.
+distance from a known state that satisfies the initial predicate (a live
+index): the stored subgraph then holds a start-to-goal chain through a
+known state. ``initial`` runs once per known state, at seeding, and
+``goal`` once per node, when the node is created. A stop flag goes up where
+a goal's entry at a live index becomes finite, for a new node or inside
+:func:`f_update`, so the stop test does no per-goal work. Running out of
+open nodes is failure; caps produce the distinct resource_limit outcome.
 
-Only forward function families are supported; a representation's
-``successors`` hook, when set, stands in for them with one call per
-expansion and the same pairs in the same order.
+:func:`ebfs` and :func:`bfs` run one driver loop with different policies.
+Only forward functions are followed, through the representation's ``walk``.
 
 A node database belongs to one search on one thread. Searches over the same
 representation may run concurrently as long as each has its own database,
@@ -31,6 +33,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import gt
 from typing import Callable, Iterator, Optional
 
@@ -137,10 +140,11 @@ class NodeDatabase:
     Also owns the frontier index behind :func:`select`: a lazy-deletion heap
     of (min distance entry, id), so selection stays cheap while staying
     exactly "smallest min-entry, earliest discovered on ties". Every change
-    of an open node's distances pushes a fresh entry.
+    of an open node's distances pushes a fresh entry. It also holds the
+    live indexes, the ids of goal nodes and the stop flag.
     """
 
-    def __init__(self, track_frontier: bool = True):
+    def __init__(self):
         self._ids: dict = {}
         self._states: list = []
         self._dist: list[tuple] = []
@@ -152,12 +156,10 @@ class NodeDatabase:
         self.max_open_size = 0
         self.expansions = 0
         self.duplicate_hits = 0
-        self._frontier: list | None = [] if track_frontier else None
-        # predicate caches for the termination check, advanced lazily
-        self._cat_rep: EssmRepresentation | None = None
-        self._cat_upto = 0
-        self._initial_ids: list[int] = []
-        self._goal_ids: list[int] = []
+        self._frontier: list = []
+        self._live: tuple = ()
+        self._goals: set[int] = set()
+        self._goal_reached = False
 
     def __len__(self) -> int:
         return len(self._states)
@@ -202,13 +204,12 @@ class NodeDatabase:
             if self.open_count > self.max_open_size:
                 self.max_open_size = self.open_count
             self._status[i] = _OPEN
-        if self._frontier is not None:
-            heapq.heappush(self._frontier, (min(self._dist[i]), i))
+        heapq.heappush(self._frontier, (min(self._dist[i]), i))
 
     def note_distance_change(self, i: int, new: tuple) -> None:
         """Node ``i``'s distances just dropped to ``new``: an open node gets
         a fresh frontier entry under its new key."""
-        if self._status[i] == _OPEN and self._frontier is not None:
+        if self._status[i] == _OPEN:
             heapq.heappush(self._frontier, (min(new), i))
 
     def mark_closed(self, i: int) -> None:
@@ -223,70 +224,37 @@ class NodeDatabase:
         """Every open node, in discovery order. Linear scan; audits only."""
         return [self.node(i) for i, s in enumerate(self._status) if s == _OPEN]
 
-    def categories(self, rep: EssmRepresentation) -> tuple[list, list]:
-        """Ids of the nodes whose states satisfy the initial / goal
-        predicate, in discovery order. Each predicate runs once per node;
-        the caches reset if a different representation is passed. An
-        exception from either predicate surfaces as ProblemDefinitionError."""
-        if rep is not self._cat_rep:
-            self._cat_rep = rep
-            self._initial_ids = []
-            self._goal_ids = []
-            self._cat_upto = 0
-        states = self._states
-        while self._cat_upto < len(states):
-            i = self._cat_upto
-            self._cat_upto += 1
-            predicate = "initial"
-            try:
-                if rep.initial(states[i]):
-                    self._initial_ids.append(i)
-                predicate = "goal"
-                if rep.goal(states[i]):
-                    self._goal_ids.append(i)
-            except Exception as exc:
-                raise ProblemDefinitionError(
-                    f"{predicate} predicate failed on {states[i]!r}") from exc
-        return self._initial_ids, self._goal_ids
 
-
-def _successors(rep: EssmRepresentation, state: State) -> list:
-    """The (forward function index, successor) pairs of ``state``: from one
-    call of ``rep.successors`` when the representation has the hook, else
-    from each forward function in index order. They are taken in full, so
-    that an exception raised while producing them surfaces as
-    ProblemDefinitionError."""
-    if rep.successors is not None:
-        try:
-            return list(rep.successors(state))
-        except Exception as exc:
-            raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
-    pairs = []
-    for f_index, f in enumerate(rep.forward_fns):
-        try:
-            pairs.extend((f_index, s2) for s2 in f(state))
-        except Exception as exc:
-            raise ProblemDefinitionError(
-                f"forward function {f_index} failed on {state!r}") from exc
-    return pairs
+def _holds(predicate: Callable[[State], bool], name: str, state: State) -> bool:
+    """``predicate(state)``; an exception surfaces as ProblemDefinitionError."""
+    try:
+        return predicate(state)
+    except Exception as exc:
+        raise ProblemDefinitionError(f"{name} predicate failed on {state!r}") from exc
 
 
 def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
     """Insert one open node per known state, in order, with distance zero to
-    itself and infinity elsewhere."""
+    itself and infinity elsewhere. ``initial`` runs once per known state and
+    fixes the live indexes; ``goal`` runs once per seed."""
     if len(db):
         raise ModelError("seeding requires an empty database")
     k = rep.k_count
+    live = []
     for i, s in enumerate(rep.known_states):
+        if _holds(rep.initial, "initial", s):
+            live.append(i)
         db.mark_open(db.add(s, tuple(0 if j == i else INF for j in range(k))))
+        if _holds(rep.goal, "goal", s):
+            db._goals.add(i)
+    db._live = tuple(live)
+    db._goal_reached = any(i in db._goals for i in live)
 
 
 def select(db: NodeDatabase) -> Optional[int]:
     """The id of the open node whose smallest distance entry is minimal over
     all open nodes, earliest discovered on ties; None when nothing is open."""
     frontier = db._frontier
-    if frontier is None:
-        raise ModelError("this database does not track a frontier")
     status, dist = db._status, db._dist
     while frontier:
         d, i = frontier[0]
@@ -313,9 +281,11 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
     A first-in first-out worklist replaces the natural recursion so long
     chains cannot overflow the stack. ``on_change(id, old, new)`` fires for
     every node whose vector actually changed, in the order the changes are
-    made.
+    made. A change that gives a goal node a finite entry at a live index
+    raises the stop flag.
     """
     dist, status, children = db._dist, db._status, db._children
+    goals, live = db._goals, db._live
     if len(candidate) != len(dist[i]):
         raise ModelError("distance vector length mismatch")
     work = deque(((i, candidate),))
@@ -327,6 +297,8 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
             continue
         dist[x] = new
         db.note_distance_change(x, new)
+        if x in goals and any(new[j] != INF for j in live):
+            db._goal_reached = True
         if on_change is not None:
             on_change(x, old, new)
         if status[x] == _CLOSED:
@@ -346,16 +318,15 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     against the same vector; only a real drop runs :func:`f_update`. A
     successor equal to curr itself just adds a self-link. ``on_change``
     also fires for each new node, from the all-infinite vector to its
-    first one.
+    first one. The goal predicate runs once on each new node.
     """
     status = db._status
     if status[curr] != _OPEN:
         raise ModelError("only open nodes can be expanded")
     frontier = db._frontier
-    if frontier is None:
-        raise ModelError("this database does not track a frontier")
     ids, states, dist = db._ids, db._states, db._dist
     children, parents = db._children, db._parents
+    goal, goals, live = rep.goal, db._goals, db._live
     db.expansions += 1
     d = dist[curr]
     plus1 = tuple(x + 1 for x in d)
@@ -363,7 +334,7 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     kids = children[curr]
     first = n = len(states)
     duplicates = 0
-    for op, s2 in _successors(rep, states[curr]):
+    for op, s2 in rep.walk(states[curr]):
         i = ids.setdefault(s2, n)
         if i == n:
             states.append(s2)
@@ -376,6 +347,14 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
             n += 1
             if on_change is not None:
                 on_change(i, (INF,) * len(plus1), plus1)
+            try:
+                hit = goal(s2)
+            except Exception as exc:
+                raise ProblemDefinitionError(f"goal predicate failed on {s2!r}") from exc
+            if hit:
+                goals.add(i)
+                if any(plus1[j] != INF for j in live):
+                    db._goal_reached = True
             continue
         duplicates += 1
         par = parents[i]
@@ -393,26 +372,12 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     db.mark_closed(curr)
 
 
-def _live_indexes(db: NodeDatabase, initial_ids: list) -> list:
-    """Ascending indexes of the known states that are seeds satisfying the
-    initial predicate."""
-    dist = db._dist
-    return sorted({j for i in initial_ids for j, d in enumerate(dist[i]) if d == 0})
-
-
-def goal_condition(db: NodeDatabase, rep: EssmRepresentation) -> bool:
+def goal_condition(db: NodeDatabase) -> bool:
     """True when some node satisfying ``goal`` has a finite distance from a
     seed that satisfies ``initial``: a discovered goal is connected to an
-    initial known state through the stored subgraph."""
-    initial_ids, goal_ids = db.categories(rep)
-    if not initial_ids or not goal_ids:
-        return False
-    dist = db._dist
-    for j in _live_indexes(db, initial_ids):
-        for g in goal_ids:
-            if dist[g][j] != INF:
-                return True
-    return False
+    initial known state through the stored subgraph. Reads the stop flag
+    that :func:`seed`, :func:`expand` and :func:`f_update` raise."""
+    return db._goal_reached
 
 
 def reconstruct_path(db: NodeDatabase, goal: int, i: int) -> Path | SingleStateSolution:
@@ -506,9 +471,7 @@ def _stats(db: NodeDatabase) -> SearchStats:
     )
 
 
-def _limit_hit(db: NodeDatabase, limits: Optional[SearchLimits]) -> bool:
-    if limits is None:
-        return False
+def _limit_hit(db: NodeDatabase, limits: SearchLimits) -> bool:
     if limits.max_nodes is not None and len(db) >= limits.max_nodes:
         return True
     if limits.max_expansions is not None and db.expansions >= limits.max_expansions:
@@ -516,17 +479,35 @@ def _limit_hit(db: NodeDatabase, limits: Optional[SearchLimits]) -> bool:
     return False
 
 
-def _success(db: NodeDatabase, rep: EssmRepresentation) -> SearchResult:
+def _success(db: NodeDatabase) -> SearchResult:
     """Locate the earliest-discovered goal node connected to an initial
     known state and reconstruct its path. Deterministic: goal nodes in
     discovery order, indexes ascending."""
-    initial_ids, goal_ids = db.categories(rep)
-    live = _live_indexes(db, initial_ids)
-    for g in goal_ids:
+    dist, live = db._dist, db._live
+    for g in sorted(db._goals):
         for j in live:
-            if db._dist[g][j] != INF:
+            if dist[g][j] != INF:
                 return SearchResult(Outcome.SUCCESS, reconstruct_path(db, g, j), _stats(db), db)
     raise SearchInvariantError("success reported without a qualifying goal node")
+
+
+def _drive(db: NodeDatabase, pick: Callable[[], Optional[int]],
+           grow: Callable[[int], None], limits: Optional[SearchLimits],
+           trace: Optional[Tracer]) -> SearchResult:
+    """The loop both searches run on a seeded database: until the stop flag
+    is up, check the caps, ``pick`` an open node (None when there is none)
+    and ``grow`` it, then report the step to ``trace``."""
+    while not db._goal_reached:
+        if limits is not None and _limit_hit(db, limits):
+            return SearchResult(Outcome.RESOURCE_LIMIT, None, _stats(db), db)
+        curr = pick()
+        if curr is None:
+            return SearchResult(Outcome.FAILURE, None, _stats(db), db)
+        grow(curr)
+        if trace is not None:  # curr's own distances do not drop while it grows
+            trace(TraceRecord(db.expansions, db._states[curr], min(db._dist[curr]),
+                              db.open_count, len(db)))
+    return _success(db)
 
 
 def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
@@ -537,8 +518,9 @@ def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
 
     The representation must be deterministic (every forward function yields
     at most one successor) and have no backward functions; a nonempty
-    backward family is rejected. The termination condition is checked once
-    right after seeding, so a known state that is both initial and goal
+    backward family is rejected. The driver loop picks with :func:`select`
+    and grows with :func:`expand`. The termination condition is checked
+    once right after seeding, so a known state that is both initial and goal
     succeeds with a zero-edge solution, and then after every expansion.
     ``on_distance_update(node, old, new)`` observes every distance-vector
     change, a new node's first vector included, with a view of the node
@@ -552,86 +534,72 @@ def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         def notify(i: int, old: tuple, new: tuple) -> None:
             on_distance_update(db.node(i), old, new)
     seed(db, rep)
-    if goal_condition(db, rep):
-        return _success(db, rep)
-    step = 0
-    while True:
-        if _limit_hit(db, limits):
-            return SearchResult(Outcome.RESOURCE_LIMIT, None, _stats(db), db)
-        curr = select(db)
-        if curr is None:
-            return SearchResult(Outcome.FAILURE, None, _stats(db), db)
-        selected_min = min(db._dist[curr])
-        expand(db, curr, rep, on_change=notify)
-        step += 1
-        if trace is not None:
-            trace(TraceRecord(step, db._states[curr], selected_min, db.open_count, len(db)))
-        if goal_condition(db, rep):
-            return _success(db, rep)
+    return _drive(db, partial(select, db), partial(expand, db, rep=rep, on_change=notify),
+                  limits, trace)
+
+
+def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: int) -> None:
+    """bfs's expansion of node ``curr``: each unknown successor becomes an
+    open node one layer deeper, linked to curr alone, at the back of
+    ``queue``; a known one only counts as a duplicate hit. Every entry is
+    finite at the live index 0, so a new goal node raises the stop flag."""
+    ids, states, dist, status = db._ids, db._states, db._dist, db._status
+    children, parents, goal = db._children, db._parents, rep.goal
+    child_dist = (dist[curr][0] + 1,)
+    db.expansions += 1
+    kids = children[curr]
+    first = n = len(states)
+    duplicates = 0
+    for op, s2 in rep.walk(states[curr]):
+        if ids.setdefault(s2, n) != n:
+            duplicates += 1
+            continue
+        states.append(s2)
+        dist.append(child_dist)
+        status.append(_OPEN)
+        children.append([])
+        parents.append([curr, op])
+        kids.append(n)
+        queue.append(n)
+        try:
+            hit = goal(s2)
+        except Exception as exc:
+            raise ProblemDefinitionError(f"goal predicate failed on {s2!r}") from exc
+        if hit:
+            db._goals.add(n)
+            db._goal_reached = True
+        n += 1
+    db.duplicate_hits += duplicates
+    db.open_count += n - first
+    if db.open_count > db.max_open_size:
+        db.max_open_size = db.open_count
+    db.mark_closed(curr)
 
 
 def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         trace: Optional[Tracer] = None) -> SearchResult:
     """Classical breadth-first search, the single-source baseline.
 
-    The frontier is a FIFO queue seeded with the known states that satisfy
-    the initial predicate; other known states are not used. Each node keeps
-    a single distance entry (its layer depth), discovery links form a tree
-    (the first generating parent wins, repeats count as duplicate hits), and
-    the goal check runs after seeding and then after each full expansion,
-    mirroring the multi-source loop. Requires a deterministic representation
-    with no backward functions.
+    It runs the loop of :func:`ebfs` with another policy: the frontier is a
+    FIFO queue seeded with the known states that satisfy the initial
+    predicate (other known states are not used), each node keeps a single
+    distance entry (its layer depth), and discovery links form a tree (the
+    first generating parent wins, repeats count as duplicate hits), so
+    nothing is relaxed and the heap stays empty. The goal check runs after
+    seeding and then after each full expansion. Requires a deterministic
+    representation with no backward functions.
     """
     if rep.backward_fns:
         raise ModelError("backward function families are not supported by this engine")
-    db = NodeDatabase(track_frontier=False)
-    queue: deque[int] = deque()
-    for s in rep.known_states:
-        try:
-            is_initial = rep.initial(s)
-        except Exception as exc:
-            raise ProblemDefinitionError(f"initial predicate failed on {s!r}") from exc
-        if not is_initial:
-            continue
-        i = db.add(s, (0,))
-        db.mark_open(i)
-        queue.append(i)
-    if goal_condition(db, rep):
-        return _success(db, rep)
-    ids, states, dist, status = db._ids, db._states, db._dist, db._status
-    children, parents = db._children, db._parents
-    step = 0
-    while True:
-        if _limit_hit(db, limits):
-            return SearchResult(Outcome.RESOURCE_LIMIT, None, _stats(db), db)
-        if not queue:
-            return SearchResult(Outcome.FAILURE, None, _stats(db), db)
-        curr = queue.popleft()
-        depth = dist[curr][0]
-        child_dist = (depth + 1,)
-        db.expansions += 1
-        kids = children[curr]
-        first = n = len(states)
-        duplicates = 0
-        for op, s2 in _successors(rep, states[curr]):
-            if ids.setdefault(s2, n) != n:
-                duplicates += 1
-                continue
-            states.append(s2)
-            dist.append(child_dist)
-            status.append(_OPEN)
-            children.append([])
-            parents.append([curr, op])
-            kids.append(n)
-            queue.append(n)
-            n += 1
-        db.duplicate_hits += duplicates
-        db.open_count += n - first
-        if db.open_count > db.max_open_size:
-            db.max_open_size = db.open_count
-        db.mark_closed(curr)
-        step += 1
-        if trace is not None:
-            trace(TraceRecord(step, states[curr], depth, db.open_count, len(db)))
-        if goal_condition(db, rep):
-            return _success(db, rep)
+    db = NodeDatabase()
+    queue = deque(db.add(s, (0,)) for s in rep.known_states
+                  if _holds(rep.initial, "initial", s))
+    for i in queue:
+        db._status[i] = _OPEN
+        if _holds(rep.goal, "goal", db._states[i]):
+            db._goals.add(i)
+            db._goal_reached = True
+    db.open_count = db.max_open_size = len(queue)
+    db._live = (0,)
+    return _drive(db, lambda: queue.popleft() if queue else None,
+                  partial(_grow_tree, db, rep, queue), limits, trace)

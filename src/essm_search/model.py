@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import ClassificationError, ModelError
+from .errors import ClassificationError, ModelError, ProblemDefinitionError
 
 State = Any
 
@@ -87,6 +87,28 @@ class SingleStateSolution:
     state: State
 
 
+def _walk(hook: Optional[SuccessorWalk], fns: tuple) -> Callable[[State], list]:
+    """The walk the engine calls: ``hook`` when given, else one over ``fns``."""
+    if hook is not None:
+        def walk(state: State) -> list:
+            try:
+                return list(hook(state))
+            except Exception as exc:
+                raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
+        return walk
+
+    def derived(state: State) -> list:
+        pairs = []
+        for i, f in enumerate(fns):
+            try:
+                pairs.extend((i, t) for t in f(state))
+            except Exception as exc:
+                raise ProblemDefinitionError(
+                    f"forward function {i} failed on {state!r}") from exc
+        return pairs
+    return derived
+
+
 @dataclass(frozen=True)
 class EssmRepresentation:
     """A search problem as a five-part structure.
@@ -101,9 +123,12 @@ class EssmRepresentation:
     ``successors`` is an optional faster route to the forward family: given
     a state it returns the (function index, successor) pairs of
     ``[(i, t) for i, f in enumerate(forward_fns) for t in f(state)]``, in
-    that order. When it is set the engine calls it once per expansion
-    instead of every forward function; ``forward_fns`` stay the reference
-    that :func:`validate_path` and :func:`classify` use.
+    that order. Every construction (``dataclasses.replace`` too) derives
+    ``walk``, which the engine calls once per expansion, from that hook when
+    it is set and from ``forward_fns`` otherwise; it returns the pairs as a
+    list and raises ProblemDefinitionError naming what failed on which
+    state. ``forward_fns`` stay the reference that :func:`validate_path`
+    and :func:`classify` use.
     """
 
     known_states: tuple[State, ...]
@@ -112,6 +137,7 @@ class EssmRepresentation:
     forward_fns: tuple[SuccessorFn, ...] = ()
     backward_fns: tuple[SuccessorFn, ...] = ()
     successors: Optional[SuccessorWalk] = None
+    walk: Callable[[State], list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "known_states", tuple(self.known_states))
@@ -131,6 +157,7 @@ class EssmRepresentation:
                 raise ModelError("successors must be callable or None")
             if not self.forward_fns:
                 raise ModelError("successors needs the forward functions it indexes")
+        object.__setattr__(self, "walk", _walk(self.successors, self.forward_fns))
 
     @property
     def k_count(self) -> int:

@@ -99,15 +99,19 @@ def checked_run(rep, known, initial, goals):
     distance events and the per-step record of the run."""
     live = [j for j, s in enumerate(known) if s in initial]
     RecordingDatabase.made = []
-    events, steps = [], []
+    events, steps, picked = [], [], []
 
     def after_expansion(record):
         db = RecordingDatabase.made[-1]
+        if picked:  # the step expanded what select gave, at the min it had then
+            assert (record.state, record.min_distance) == picked.pop()
         want = oracle_stored_distances(db)
         for node in db:
             assert node.f_distance == tuple(want[node]), node
         ref, got = scan_select(db), select(db)
         assert (got is None and ref is None) or db.node(got) == ref
+        if got is not None:
+            picked.append((db.node(got).state, db.node(got).min_distance()))
         steps.append((record, connected(db, live, goals, want)))
 
     result = ebfs(rep, trace=after_expansion,

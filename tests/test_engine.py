@@ -4,14 +4,16 @@ path reconstruction) and the two search loops."""
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from essm_search import (INF, Edge, EssmRepresentation, ModelError,
                          NodeDatabase, NodeStatus, Outcome, Path,
                          ProblemDefinitionError, SearchInvariantError,
-                         SearchLimits, SingleStateSolution, bfs, ebfs, expand,
-                         f_update, goal_condition, make_classical,
+                         SearchLimits, SingleStateSolution, bfs, ebfs, engine,
+                         expand, f_update, goal_condition, make_classical,
                          reconstruct_path, seed, select, validate_path)
 from essm_search.nqueens import (KnownState, KnownStateSpec,
                                  ROLE_FALSE_HEURISTIC, ROLE_INITIAL,
@@ -166,10 +168,15 @@ def test_select_sees_distance_drops():
     assert select(db) == slow
 
 
-def test_select_needs_a_tracked_frontier():
-    db = NodeDatabase(track_frontier=False)
-    with pytest.raises(ModelError):
-        select(db)
+def test_bfs_uses_neither_select_nor_the_heap(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("bfs reached the heap frontier")
+    monkeypatch.setattr(engine, "select", forbidden)
+    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=forbidden,
+                                                         heappop=forbidden))
+    result = bfs(queens_rep(5, 3))
+    assert result.outcome is Outcome.SUCCESS
+    assert result.stats.max_open_size > 1
 
 
 def test_select_matches_linear_scan_throughout_a_run():
@@ -177,7 +184,7 @@ def test_select_matches_linear_scan_throughout_a_run():
     db = NodeDatabase()
     seed(db, rep)
     steps = 0
-    while not goal_condition(db, rep):
+    while not goal_condition(db):
         curr = select(db)
         assert db.node(curr) == scan_select(db)
         expand(db, curr, rep)
@@ -374,6 +381,22 @@ def test_derived_successor_walk_searches_like_the_forward_loop(search):
     assert plain.outcome is Outcome.FAILURE
 
 
+@pytest.mark.parametrize("search", [ebfs, bfs])
+def test_a_replaced_representation_searches_with_its_new_functions(search):
+    def step(s):
+        return frozenset((s + 1,)) if s < 6 else frozenset()
+
+    def leap(s):
+        return frozenset((s + 2,)) if s < 6 else frozenset()
+
+    rep = EssmRepresentation((0,), lambda s: s == 0, lambda s: False, (step,))
+    replaced = dataclasses.replace(rep, forward_fns=(leap,))
+    assert [n.state for n in search(replaced).db] == [0, 2, 4, 6]
+    hooked = dataclasses.replace(rep, successors=lambda s: [(0, t) for t in step(s)])
+    assert [n.state for n in search(dataclasses.replace(hooked, forward_fns=(leap,))).db] \
+        == [0, 1, 2, 3, 4, 5, 6]
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_closed_count_matches_a_scan(n):
     for result in (bfs(queens_rep(n)), ebfs(queens_rep(n, (n + 1) // 2))):
@@ -394,8 +417,7 @@ def test_self_loop_terminates_as_failure():
 # --- termination condition ----------------------------------------------
 
 def test_goal_condition_empty_database_is_false():
-    rep, _ = graph_rep([(0, 1)], known=[0], initial=[0], goal=[1])
-    assert not goal_condition(NodeDatabase(), rep)
+    assert not goal_condition(NodeDatabase())
 
 
 def test_goal_condition_holds_once_subgraphs_chain():
@@ -403,21 +425,60 @@ def test_goal_condition_holds_once_subgraphs_chain():
     db = NodeDatabase()
     seed(db, rep)
     # the goal node exists from the start, but nothing connects it yet
-    assert not goal_condition(db, rep)
+    assert not goal_condition(db)
     expand(db, db.node_for(0), rep)
-    assert not goal_condition(db, rep)
+    assert not goal_condition(db)
     expand(db, db.node_for(2), rep)
-    assert not goal_condition(db, rep)
+    assert not goal_condition(db)
     expand(db, db.node_for(1), rep)
     assert db.node(db.node_for(2)).f_distance == (2, 0)
-    assert goal_condition(db, rep)
+    assert goal_condition(db)
 
 
 def test_goal_condition_true_at_seed_time_for_known_initial_goal():
     rep, _ = graph_rep([(0, 1)], known=[0], initial=[0], goal=[0])
     db = NodeDatabase()
     seed(db, rep)
-    assert goal_condition(db, rep)
+    assert goal_condition(db)
+
+
+def chain_probe(goals, initial=lambda s: s == 0):
+    """3G+1 int states in one chain, for G = ``goals``. The known states are
+    the root 0 and the relay 2G; the goals 2G+1..3G follow the relay, so its
+    subtree finds every goal long before the root's chain reaches it."""
+    last = 3 * goals
+    return EssmRepresentation((0, 2 * goals), initial, lambda s: s > 2 * goals,
+                              (lambda s: frozenset((s + 1,)) if s < last else frozenset(),))
+
+
+@pytest.mark.parametrize("search, nodes", [(ebfs, 151), (bfs, 102)])
+def test_predicates_run_once_per_known_state_and_once_per_node(search, nodes):
+    calls = Counter()
+
+    def counted(name, predicate):
+        def run(s):
+            calls[name] += 1
+            return predicate(s)
+        return run
+
+    rep = chain_probe(50)
+    rep = dataclasses.replace(rep, initial=counted("initial", rep.initial),
+                              goal=counted("goal", rep.goal))
+    result = search(rep)
+    assert result.outcome is Outcome.SUCCESS and result.solution_length == 101
+    assert result.stats.nodes_created == nodes
+    assert calls == {"initial": 2, "goal": nodes}
+
+
+def test_without_an_initial_known_state_both_searches_fail():
+    rep = chain_probe(50, initial=lambda s: False)
+    result = bfs(rep)
+    assert result.outcome is Outcome.FAILURE
+    assert result.stats.nodes_created == result.stats.expansions == 0
+    result = ebfs(rep)
+    assert result.outcome is Outcome.FAILURE
+    assert result.stats.nodes_created == result.stats.expansions == 151
+    assert not result.db.open_nodes()
 
 
 # --- path reconstruction -------------------------------------------------
