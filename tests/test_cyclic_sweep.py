@@ -44,7 +44,7 @@ def random_case(rng):
     for _ in range(rng.randint(0, min(4, size - 1))):
         reached = set()
         for k in known:
-            reached.update(sweep(tables, k))
+            reached.update(reachable(tables, k))
         pool = sorted(reached - set(known)) if rng.random() < 0.5 else []
         pool = pool or sorted(set(range(size)) - set(known))
         known.append(rng.choice(pool))
@@ -56,7 +56,7 @@ def random_case(rng):
     return known, initial, goals, tables
 
 
-def sweep(tables, start):
+def reachable(tables, start):
     seen, todo = {start}, [start]
     while todo:
         s = todo.pop()
@@ -89,14 +89,15 @@ def connected(db, live, goals, want):
 class RecordingDatabase(engine.NodeDatabase):
     made: list = []
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self):
+        super().__init__()
         RecordingDatabase.made.append(self)
 
 
 def checked_run(rep, known, initial, goals):
-    """Run ``ebfs`` with the per-expansion checks; returns the result, the
-    distance events and the per-step record of the run."""
+    """Run ``ebfs`` with the per-expansion checks; returns the result and a
+    record of the run: nodes, stats, outcome, solution, distance events and
+    trace records."""
     live = [j for j, s in enumerate(known) if s in initial]
     RecordingDatabase.made = []
     events, steps, picked = [], [], []
@@ -153,7 +154,7 @@ def test_ebfs_matches_the_oracles_on_random_cyclic_graphs(chunk, monkeypatch):
     for seed in range(chunk, GRAPHS, 4):
         case = random_case(random.Random(seed))
         plain, plain_record = checked_run(representation(*case, hook=False), *case[:3])
-        hooked, hooked_record = checked_run(representation(*case, hook=True), *case[:3])
+        _, hooked_record = checked_run(representation(*case, hook=True), *case[:3])
         assert hooked_record == plain_record, seed
         outcomes.add(plain.outcome)
     assert outcomes == {Outcome.SUCCESS, Outcome.FAILURE}

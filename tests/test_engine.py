@@ -1,5 +1,5 @@
 """Engine primitives (seed, select, expand, f_update, goal condition,
-path reconstruction) and the two search loops."""
+path reconstruction) and the two searches on their shared loop."""
 
 import dataclasses
 import random
