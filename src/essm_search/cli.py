@@ -57,6 +57,7 @@ class ExperimentConfig:
     known_specs: tuple[str, ...] = ()
     max_nodes: int | None = None
     max_expansions: int | None = None
+    max_seconds: float | None = None
     output_format: str = "csv"
     trace: bool = False
 
@@ -78,6 +79,8 @@ class ExperimentConfig:
         for cap in (self.max_nodes, self.max_expansions):
             if cap is not None and cap < 1:
                 raise ConfigError("resource caps must be positive")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            raise ConfigError("resource caps must be positive")
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,11 @@ def run_experiment(config: ExperimentConfig, *, trace_sink=None,
     if warn_sink is None:
         warn_sink = sys.stderr
     plans = _plan_runs(config)
-    limits = None
-    if config.max_nodes is not None or config.max_expansions is not None:
-        limits = SearchLimits(max_nodes=config.max_nodes,
-                              max_expansions=config.max_expansions)
+    limits = SearchLimits(max_nodes=config.max_nodes,
+                          max_expansions=config.max_expansions,
+                          max_seconds=config.max_seconds)
+    if limits == SearchLimits():
+        limits = None
     reports: list[ExperimentReport] = []
     for plan in plans:
         if plan.warning:
@@ -308,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop a run once this many nodes exist")
     parser.add_argument("--max-expansions", type=int, default=None,
                         help="stop a run after this many expansions")
+    parser.add_argument("--max-seconds", type=float, default=None,
+                        help="stop a run after this many seconds of search")
     return parser
 
 
@@ -320,6 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             known_specs=tuple(args.known),
             max_nodes=args.max_nodes,
             max_expansions=args.max_expansions,
+            max_seconds=args.max_seconds,
             output_format=args.output_format,
             trace=args.trace,
         )

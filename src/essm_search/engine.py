@@ -1,13 +1,14 @@
 """Multi-source breadth-first search with per-known-state distance vectors.
 
 Every discovered state gets exactly one node, identified by an int id that
-is its discovery index. A node holds its status, its parent/child links, and
-a vector with the best known distance from each known state (index fixed by
-the order of ``known_states``). All known states are seeded as one frontier;
-when the subtree grown from one known state runs into the subtree of
-another, the distance update cascades through the already-closed nodes, so
-the merged subgraph immediately knows how far every node is from every
-source that reaches it.
+is its discovery index and found by the state's key (see the representation's
+codec). A node holds its status, its parent/child links, and a vector with
+the best known distance from each known state (index fixed by the order of
+``known_states``). All known states are seeded as one frontier; when the
+subtree grown from one known state runs into the subtree of another, the
+distance update cascades through the already-closed nodes, so the merged
+subgraph immediately knows how far every node is from every source that
+reaches it.
 
 The search succeeds as soon as some discovered goal node has a finite
 distance from a known state that satisfies the initial predicate (a live
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +48,10 @@ INF = math.inf
 
 
 class NodeStatus(Enum):
+    """A node's place in the search. Seeds and discovered nodes are created
+    OPEN and become CLOSED when they expand; only a bare
+    :meth:`NodeDatabase.add` leaves a node UNSET."""
+
     UNSET = "unset"
     OPEN = "open"
     CLOSED = "closed"
@@ -65,11 +72,12 @@ class SearchNode:
     """Read-only view of one node of a :class:`NodeDatabase`.
 
     Views are built on access and hold no data of their own: two views of
-    the same node in the same database are equal and hash alike. The links
-    come out in the order they were made; ``parent_ops`` maps each parent to
-    the forward function index of its first link. ``b_distance`` is 0 at
-    the index of the known state a seed was placed for and infinite
-    elsewhere (only a seed is at distance 0 from a known state).
+    the same node in the same database are equal and hash alike. ``state``
+    is the decoded state. The links come out in the order they were made;
+    ``parent_ops`` maps each parent to the forward function index of its
+    first link. ``b_distance`` is 0 at the index of the known state a seed
+    was placed for and infinite elsewhere (only a seed is at distance 0 from
+    a known state).
     """
 
     __slots__ = ("_db", "_order")
@@ -85,7 +93,7 @@ class SearchNode:
 
     @property
     def state(self) -> State:
-        return self._db._states[self._order]
+        return self._db._state(self._order)
 
     @property
     def f_status(self) -> NodeStatus:
@@ -101,16 +109,17 @@ class SearchNode:
 
     @property
     def f_children(self) -> tuple:
-        return tuple(map(self._db.node, self._db._children[self._order]))
+        db, i = self._db, self._order
+        return tuple(map(db.node, db._kids[db._lo[i]:db._hi[i]]))
 
     @property
     def f_parents(self) -> tuple:
-        return tuple(map(self._db.node, self._db._parents[self._order][::2]))
+        return tuple(self._db.node(p) for p, _ in self._db._parent_links(self._order))
 
     @property
     def parent_ops(self) -> dict:
         node = self._db.node
-        return {node(p): op for p, op in _pairs(self._db._parents[self._order])}
+        return {node(p): op for p, op in self._db._parent_links(self._order)}
 
     def min_distance(self) -> float:
         return min(self.f_distance)
@@ -130,12 +139,21 @@ class SearchNode:
 class NodeDatabase:
     """Columnar store of search nodes, indexed by int id in discovery order.
 
-    Position ``i`` of each column belongs to node ``i``: its state, its
+    Nodes are keyed by the representation's ``encode`` (the state itself
+    without a codec); the database takes the codec when it is seeded, and
+    decodes only for views, traces, solutions and messages. ``lookup``,
+    ``node_for`` and ``add`` take states.
+
+    Position ``i`` of each column belongs to node ``i``: its key, its
     distance tuple (shared between nodes while their vectors are equal), its
-    status code, the ids of its children in link order, and a flat
-    ``[parent id, op, parent id, op, ...]`` list with one pair per distinct
-    parent in link order. Iterating the database yields read-only
-    :class:`SearchNode` views.
+    status code, and in ``array('i')`` columns its first parent and the
+    operator of that link (-1 for none) and the ``[lo, hi)`` bounds of its
+    children in one flat child-id array. A node's links are all made during
+    its single expansion, so its children are one run of that array, in
+    link order. Further parents, which only merges in :func:`expand`
+    create, sit in a side dict of flat ``[parent id, op, ...]`` lists, one
+    pair per distinct parent in link order. Iterating the database yields
+    read-only :class:`SearchNode` views.
 
     Also owns the frontier index behind :func:`select`: a lazy-deletion heap
     of (min distance entry, id), so selection stays cheap while staying
@@ -145,12 +163,18 @@ class NodeDatabase:
     """
 
     def __init__(self):
+        self._encode: Optional[Callable] = None
+        self._decode: Optional[Callable] = None
         self._ids: dict = {}
-        self._states: list = []
+        self._keys: list = []
         self._dist: list[tuple] = []
         self._status = bytearray()
-        self._children: list[list[int]] = []
-        self._parents: list[list[int]] = []
+        self._parent = array("i")
+        self._op = array("i")
+        self._more_parents: dict[int, list[int]] = {}
+        self._kids = array("i")
+        self._lo = array("i")
+        self._hi = array("i")
         self.open_count = 0
         self.closed_count = 0
         self.max_open_size = 0
@@ -162,44 +186,77 @@ class NodeDatabase:
         self._goal_reached = False
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[SearchNode]:
-        return map(self.node, range(len(self._states)))
+        return map(self.node, range(len(self._keys)))
 
     def node(self, i: int) -> SearchNode:
         """The view of node ``i``."""
         return SearchNode(self, i)
 
+    def _use_codec(self, rep: EssmRepresentation) -> None:
+        """Key nodes with ``rep``'s codec; only an empty database may."""
+        if len(self):
+            raise ModelError("seeding requires an empty database")
+        self._encode, self._decode = rep.encode, rep.decode
+
+    def _key(self, state: State):
+        return state if self._encode is None else self._encode(state)
+
+    def _state(self, i: int) -> State:
+        """The decoded state of node ``i``."""
+        key = self._keys[i]
+        return key if self._decode is None else self._decode(key)
+
+    def _parent_links(self, i: int) -> list:
+        """Node ``i``'s (parent id, op) pairs in link order."""
+        p = self._parent[i]
+        if p < 0:
+            return []
+        return [(p, self._op[i]), *_pairs(self._more_parents.get(i, ()))]
+
     def lookup(self, state: State) -> Optional[int]:
-        return self._ids.get(state)
+        """The id of ``state``'s node; None when it has none."""
+        return self._ids.get(self._key(state))
 
     def node_for(self, state: State) -> int:
-        i = self._ids.get(state)
+        i = self.lookup(state)
         if i is None:
             raise ModelError(f"no node for state {state!r}")
         return i
 
     def add(self, state: State, distance: tuple) -> int:
-        """A new unset node with no links; returns its id."""
-        if state in self._ids:
+        """A new unset node with no links for ``state``, which must have a
+        key and no node yet; returns its id."""
+        key = self._key(state)
+        if key is None and self._encode is not None:
+            raise ModelError(f"state {state!r} has no key in this representation")
+        if key in self._ids:
             raise ModelError(f"state already in database: {state!r}")
         distance = tuple(distance)
         if not distance:
             raise ModelError("a node needs at least one distance entry")
         if self._dist and len(distance) != len(self._dist[0]):
             raise ModelError("distance vector length mismatch")
-        i = len(self._states)
-        self._ids[state] = i
-        self._states.append(state)
+        i = len(self._keys)
+        self._ids[key] = i
+        self._keys.append(key)
         self._dist.append(distance)
         self._status.append(_UNSET)
-        self._children.append([])
-        self._parents.append([])
+        self._parent.append(-1)
+        self._op.append(-1)
+        self._lo.append(0)
+        self._hi.append(0)
         return i
 
     def mark_open(self, i: int) -> None:
-        if self._status[i] != _OPEN:
+        """Open node ``i`` (a no-op on an open one) and push its frontier
+        entry. A closed node has had its one expansion and cannot reopen."""
+        status = self._status[i]
+        if status != _OPEN:
+            if status == _CLOSED:
+                raise ModelError(f"node {self._state(i)!r} is closed and cannot reopen")
             self.open_count += 1
             if self.open_count > self.max_open_size:
                 self.max_open_size = self.open_count
@@ -236,9 +293,9 @@ def _holds(predicate: Callable[[State], bool], name: str, state: State) -> bool:
 def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
     """Insert one open node per known state, in order, with distance zero to
     itself and infinity elsewhere. ``initial`` runs once per known state and
-    fixes the live indexes; ``goal`` runs once per seed."""
-    if len(db):
-        raise ModelError("seeding requires an empty database")
+    fixes the live indexes; ``goal`` runs once per seed. The database takes
+    the representation's codec."""
+    db._use_codec(rep)
     k = rep.k_count
     live = []
     for i, s in enumerate(rep.known_states):
@@ -284,7 +341,8 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
     made. A change that gives a goal node a finite entry at a live index
     raises the stop flag.
     """
-    dist, status, children = db._dist, db._status, db._children
+    dist, status = db._dist, db._status
+    kids, lo, hi = db._kids, db._lo, db._hi
     goals, live = db._goals, db._live
     if len(candidate) != len(dist[i]):
         raise ModelError("distance vector length mismatch")
@@ -303,7 +361,7 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
             on_change(x, old, new)
         if status[x] == _CLOSED:
             plus1 = tuple(d + 1 for d in new)
-            work.extend((child, plus1) for child in children[x])
+            work.extend((child, plus1) for child in kids[lo[x]:hi[x]])
 
 
 def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
@@ -318,35 +376,39 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     against the same vector; only a real drop runs :func:`f_update`. A
     successor equal to curr itself just adds a self-link. ``on_change``
     also fires for each new node, from the all-infinite vector to its
-    first one. The goal predicate runs once on each new node.
+    first one. The goal predicate runs once on each new node, decoded.
     """
     status = db._status
     if status[curr] != _OPEN:
         raise ModelError("only open nodes can be expanded")
     frontier = db._frontier
-    ids, states, dist = db._ids, db._states, db._dist
-    children, parents = db._children, db._parents
+    ids, keys, dist, decode = db._ids, db._keys, db._dist, db._decode
+    parent, first_op, more = db._parent, db._op, db._more_parents
+    kids, lo, hi = db._kids, db._lo, db._hi
     goal, goals, live = rep.goal, db._goals, db._live
     db.expansions += 1
     d = dist[curr]
     plus1 = tuple(x + 1 for x in d)
     plus1_min = min(plus1)
-    kids = children[curr]
-    first = n = len(states)
+    lo[curr] = len(kids)
+    first = n = len(keys)
     duplicates = 0
-    for op, s2 in rep.walk(states[curr]):
-        i = ids.setdefault(s2, n)
+    for op, k2 in rep.walk(keys[curr]):
+        i = ids.setdefault(k2, n)
         if i == n:
-            states.append(s2)
+            keys.append(k2)
             dist.append(plus1)
             status.append(_OPEN)
-            children.append([])
-            parents.append([curr, op])
+            parent.append(curr)
+            first_op.append(op)
+            lo.append(0)
+            hi.append(0)
             kids.append(i)
             heapq.heappush(frontier, (plus1_min, i))
             n += 1
             if on_change is not None:
                 on_change(i, (INF,) * len(plus1), plus1)
+            s2 = k2 if decode is None else decode(k2)
             try:
                 hit = goal(s2)
             except Exception as exc:
@@ -357,14 +419,24 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
                     db._goal_reached = True
             continue
         duplicates += 1
-        par = parents[i]
         # links to i are only made while their parent expands, so a link
         # from curr, if any, is i's last one
-        if not par or par[-2] != curr:
-            par += (curr, op)
+        p = parent[i]
+        if p < 0:
+            parent[i] = curr
+            first_op[i] = op
             kids.append(i)
+        elif p != curr:
+            extra = more.get(i)
+            if extra is None:
+                more[i] = [curr, op]
+                kids.append(i)
+            elif extra[-2] != curr:
+                extra += (curr, op)
+                kids.append(i)
         if any(map(gt, dist[i], plus1)):
             f_update(db, i, plus1, on_change)
+    hi[curr] = len(kids)
     db.duplicate_hits += duplicates
     db.open_count += n - first
     if db.open_count > db.max_open_size:
@@ -386,23 +458,23 @@ def reconstruct_path(db: NodeDatabase, goal: int, i: int) -> Path | SingleStateS
     that known state (earliest-discovered parent on ties). Distance zero at
     the goal itself means the known state is the goal: the result is then a
     single-state solution with no edges."""
-    states, dist_of = db._states, db._dist
+    state, dist_of = db._state, db._dist
     dist = dist_of[goal][i]
     if dist == INF:
-        raise ModelError(f"node {states[goal]!r} has no stored path from known state {i}")
+        raise ModelError(f"node {state(goal)!r} has no stored path from known state {i}")
     if dist == 0:
-        return SingleStateSolution(states[goal])
+        return SingleStateSolution(state(goal))
     edges: list[Edge] = []
     cur = goal
     while dist > 0:
         best = best_op = None
-        for p, op in _pairs(db._parents[cur]):
+        for p, op in db._parent_links(cur):
             if dist_of[p][i] == dist - 1 and (best is None or p < best):
                 best, best_op = p, op
         if best is None:
             raise SearchInvariantError(
-                f"no parent of {states[cur]!r} at distance {dist - 1} from known state {i}")
-        edges.append(Edge(states[best], states[cur], OpRef(FORWARD, best_op)))
+                f"no parent of {state(cur)!r} at distance {dist - 1} from known state {i}")
+        edges.append(Edge(state(best), state(cur), OpRef(FORWARD, best_op)))
         cur = best
         dist -= 1
     edges.reverse()
@@ -417,10 +489,12 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps checked before every expansion. None means unlimited."""
+    """Caps checked before every expansion. None means unlimited.
+    ``max_seconds`` caps the wall time of the search loop."""
 
     max_nodes: int | None = None
     max_expansions: int | None = None
+    max_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -471,12 +545,12 @@ def _stats(db: NodeDatabase) -> SearchStats:
     )
 
 
-def _limit_hit(db: NodeDatabase, limits: SearchLimits) -> bool:
+def _limit_hit(db: NodeDatabase, limits: SearchLimits, deadline: float | None) -> bool:
     if limits.max_nodes is not None and len(db) >= limits.max_nodes:
         return True
     if limits.max_expansions is not None and db.expansions >= limits.max_expansions:
         return True
-    return False
+    return deadline is not None and time.perf_counter() >= deadline
 
 
 def _success(db: NodeDatabase) -> SearchResult:
@@ -496,16 +570,20 @@ def _drive(db: NodeDatabase, pick: Callable[[], Optional[int]],
            trace: Optional[Tracer]) -> SearchResult:
     """The loop both searches run on a seeded database: until the stop flag
     is up, check the caps, ``pick`` an open node (None when there is none)
-    and ``grow`` it, then report the step to ``trace``."""
+    and ``grow`` it, then report the step to ``trace``. The wall-time cap
+    counts from the loop's start."""
+    deadline = None
+    if limits is not None and limits.max_seconds is not None:
+        deadline = time.perf_counter() + limits.max_seconds
     while not db._goal_reached:
-        if limits is not None and _limit_hit(db, limits):
+        if limits is not None and _limit_hit(db, limits, deadline):
             return SearchResult(Outcome.RESOURCE_LIMIT, None, _stats(db), db)
         curr = pick()
         if curr is None:
             return SearchResult(Outcome.FAILURE, None, _stats(db), db)
         grow(curr)
         if trace is not None:  # curr's own distances do not drop while it grows
-            trace(TraceRecord(db.expansions, db._states[curr], min(db._dist[curr]),
+            trace(TraceRecord(db.expansions, db._state(curr), min(db._dist[curr]),
                               db.open_count, len(db)))
     return _success(db)
 
@@ -542,25 +620,28 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
     """bfs's expansion of node ``curr``: each unknown successor becomes an
     open node one layer deeper, linked to curr alone, at the back of
     ``queue``; a known one only counts as a duplicate hit. Every entry is
-    finite at the live index 0, so a new goal node raises the stop flag."""
-    ids, states, dist, status = db._ids, db._states, db._dist, db._status
-    children, parents, goal = db._children, db._parents, rep.goal
+    finite at the live index 0, so a new goal node raises the stop flag.
+    curr's children are the new nodes, so they are one id range."""
+    ids, keys, dist, status = db._ids, db._keys, db._dist, db._status
+    parent, first_op, lo, hi = db._parent, db._op, db._lo, db._hi
+    goal, decode = rep.goal, db._decode
     child_dist = (dist[curr][0] + 1,)
     db.expansions += 1
-    kids = children[curr]
-    first = n = len(states)
+    first = n = len(keys)
     duplicates = 0
-    for op, s2 in rep.walk(states[curr]):
-        if ids.setdefault(s2, n) != n:
+    for op, k2 in rep.walk(keys[curr]):
+        if ids.setdefault(k2, n) != n:
             duplicates += 1
             continue
-        states.append(s2)
+        keys.append(k2)
         dist.append(child_dist)
         status.append(_OPEN)
-        children.append([])
-        parents.append([curr, op])
-        kids.append(n)
+        parent.append(curr)
+        first_op.append(op)
+        lo.append(0)
+        hi.append(0)
         queue.append(n)
+        s2 = k2 if decode is None else decode(k2)
         try:
             hit = goal(s2)
         except Exception as exc:
@@ -569,6 +650,10 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
             db._goals.add(n)
             db._goal_reached = True
         n += 1
+    kids = db._kids
+    lo[curr] = len(kids)
+    kids.extend(range(first, n))
+    hi[curr] = len(kids)
     db.duplicate_hits += duplicates
     db.open_count += n - first
     if db.open_count > db.max_open_size:
@@ -592,11 +677,12 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
     if rep.backward_fns:
         raise ModelError("backward function families are not supported by this engine")
     db = NodeDatabase()
+    db._use_codec(rep)
     queue = deque(db.add(s, (0,)) for s in rep.known_states
                   if _holds(rep.initial, "initial", s))
     for i in queue:
         db._status[i] = _OPEN
-        if _holds(rep.goal, "goal", db._states[i]):
+        if _holds(rep.goal, "goal", db._state(i)):
             db._goals.add(i)
             db._goal_reached = True
     db.open_count = db.max_open_size = len(queue)

@@ -20,9 +20,10 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .errors import ClassificationError, ModelError, ProblemDefinitionError
 
 State = Any
+Key = Any
 
 SuccessorFn = Callable[[State], "frozenset[State]"]
-SuccessorWalk = Callable[[State], "Iterable[tuple[int, State]]"]
+SuccessorWalk = Callable[[Key], "Iterable[tuple[int, Key]]"]
 Predicate = Callable[[State], bool]
 
 FORWARD = "forward"
@@ -87,13 +88,17 @@ class SingleStateSolution:
     state: State
 
 
-def _walk(hook: Optional[SuccessorWalk], fns: tuple) -> Callable[[State], list]:
-    """The walk the engine calls: ``hook`` when given, else one over ``fns``."""
+def _walk(hook: Optional[SuccessorWalk], fns: tuple, encode: Optional[Callable],
+          decode: Optional[Callable]) -> Callable[[Key], list]:
+    """The walk the engine calls, from a key to (function index, key)
+    pairs: ``hook`` when given, else one over ``fns`` that decodes the key
+    and encodes the successors. Without a codec a key is the state itself."""
     if hook is not None:
-        def walk(state: State) -> list:
+        def walk(key: Key) -> list:
             try:
-                return list(hook(state))
+                return list(hook(key))
             except Exception as exc:
+                state = key if decode is None else decode(key)
                 raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
         return walk
 
@@ -106,7 +111,10 @@ def _walk(hook: Optional[SuccessorWalk], fns: tuple) -> Callable[[State], list]:
                 raise ProblemDefinitionError(
                     f"forward function {i} failed on {state!r}") from exc
         return pairs
-    return derived
+
+    if encode is None:
+        return derived
+    return lambda key: [(i, encode(t)) for i, t in derived(decode(key))]
 
 
 @dataclass(frozen=True)
@@ -120,15 +128,23 @@ class EssmRepresentation:
     nonempty. Backward functions are carried for classification purposes,
     the bundled engine only follows forward ones.
 
+    ``encode`` and ``decode`` are an optional codec, given both or neither:
+    ``encode(state)`` is the key the engine stores and looks the state up
+    by (None for a state outside the representation's space, which then
+    has no node), and ``decode(key)`` gives the state back. Without a codec
+    the key is the state itself. The engine decodes only where states leave
+    it: predicates, views, traces and solutions.
+
     ``successors`` is an optional faster route to the forward family: given
-    a state it returns the (function index, successor) pairs of
-    ``[(i, t) for i, f in enumerate(forward_fns) for t in f(state)]``, in
-    that order. Every construction (``dataclasses.replace`` too) derives
-    ``walk``, which the engine calls once per expansion, from that hook when
-    it is set and from ``forward_fns`` otherwise; it returns the pairs as a
-    list and raises ProblemDefinitionError naming what failed on which
-    state. ``forward_fns`` stay the reference that :func:`validate_path`
-    and :func:`classify` use.
+    a key it returns the (function index, successor key) pairs of
+    ``[(i, encode(t)) for i, f in enumerate(forward_fns) for t in f(decode(key))]``,
+    in that order (without a codec, keys are states). Every construction
+    (``dataclasses.replace`` too) derives ``walk``, which the engine calls
+    once per expansion, from that hook when it is set and from
+    ``forward_fns`` otherwise; it returns the pairs as a list and raises
+    ProblemDefinitionError naming what failed on which decoded state.
+    ``forward_fns`` stay the reference that :func:`validate_path` and
+    :func:`classify` use.
     """
 
     known_states: tuple[State, ...]
@@ -137,7 +153,9 @@ class EssmRepresentation:
     forward_fns: tuple[SuccessorFn, ...] = ()
     backward_fns: tuple[SuccessorFn, ...] = ()
     successors: Optional[SuccessorWalk] = None
-    walk: Callable[[State], list] = field(init=False, repr=False, compare=False)
+    encode: Optional[Callable[[State], Key]] = None
+    decode: Optional[Callable[[Key], State]] = None
+    walk: Callable[[Key], list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "known_states", tuple(self.known_states))
@@ -157,7 +175,12 @@ class EssmRepresentation:
                 raise ModelError("successors must be callable or None")
             if not self.forward_fns:
                 raise ModelError("successors needs the forward functions it indexes")
-        object.__setattr__(self, "walk", _walk(self.successors, self.forward_fns))
+        if (self.encode is None) != (self.decode is None):
+            raise ModelError("encode and decode go together: give both or neither")
+        if self.encode is not None and not (callable(self.encode) and callable(self.decode)):
+            raise ModelError("encode and decode must be callable")
+        object.__setattr__(self, "walk", _walk(self.successors, self.forward_fns,
+                                               self.encode, self.decode))
 
     @property
     def k_count(self) -> int:

@@ -7,11 +7,12 @@ is inapplicable otherwise. Queens are never removed, so the reachable space
 is a directed acyclic graph layered by queen count, and one placement can
 reach another exactly when it is a subset of it.
 
-The representation also carries a ``successors`` walk that yields every
-placement of one state in a single pass over its free-square mask, using the
-bit-pattern technique (Richards 1997, "Backtracking algorithms in MCPL using
-bit patterns and recursion"): a per-size table gives, for each square, the
-mask of squares a queen there occupies or attacks.
+The engine keys states by their mask. The representation's ``successors``
+walk maps a mask to the masks of all its placements in a single pass over
+its free squares, using the bit-pattern technique (Richards 1997,
+"Backtracking algorithms in MCPL using bit patterns and recursion"): a
+per-size table gives, for each square, the mask of squares a queen there
+occupies or attacks.
 
 Serialized form: ``<n> ":" [ <r> "," <c> ( ";" <r> "," <c> )* ]`` with
 decimal integers and no whitespace, coordinate pairs sorted ascending.
@@ -264,18 +265,16 @@ def _placement_fn(n: int, sq: int):
 
 
 def _successor_walk(n: int):
-    """Every (square, child) placement of a state, ascending by square: the
-    pairs the per-square placement functions give, in their index order."""
+    """Every (square, child mask) placement of a mask, ascending by square:
+    the pairs the per-square placement functions give, in their index
+    order, as keys."""
 
-    def successors(state: NQueensState) -> list:
-        if state._n != n:
-            return []
-        mask = state._mask
+    def successors(mask: int) -> list:
         free = _free_mask(n, mask)
         out = []
         while free:
             low = free & -free
-            out.append((low.bit_length() - 1, _trusted(n, mask | low)))
+            out.append((low.bit_length() - 1, mask | low))
             free ^= low
         return out
 
@@ -288,8 +287,10 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
     Every known state must be a valid non-attacking placement of size n;
     an attacking placement cannot be extended to a solution and is rejected.
     The forward family has one placement function per square, in row-major
-    order (function index = row * n + col), and ``successors`` walks all of
-    them in one pass. There are no backward functions.
+    order (function index = row * n + col). There are no backward
+    functions. The engine keys states by their mask: ``encode`` gives a
+    size-n board's mask, ``decode`` builds the board back unchecked, and
+    ``successors`` walks all placements of a mask in one pass.
     """
     if known.n != n:
         raise ModelError(f"known states are for n={known.n}, expected n={n}")
@@ -304,6 +305,13 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
         return (s._n == n and s._mask.bit_count() == n
                 and _pairwise_safe(s.queens))
 
+    def encode(s) -> int | None:
+        # None for anything but a size-n board: no other board size may
+        # alias a size-n board of the same mask
+        if s.__class__ is NQueensState and s._n == n:
+            return s._mask
+        return None
+
     return EssmRepresentation(
         known_states=known.states,
         initial=initial,
@@ -311,6 +319,8 @@ def nqueens_rep(n: int, known: KnownStateSpec) -> EssmRepresentation:
         forward_fns=tuple(_placement_fn(n, sq) for sq in range(n * n)),
         backward_fns=(),
         successors=_successor_walk(n),
+        encode=encode,
+        decode=functools.partial(_trusted, n),
     )
 
 

@@ -47,6 +47,9 @@ def test_config_validation():
         config(max_nodes=0)
     with pytest.raises(ConfigError):
         config(max_expansions=-1)
+    for seconds in (0, -1.5, float("nan")):
+        with pytest.raises(ConfigError):
+            config(max_seconds=seconds)
     assert config().algorithms == ALGORITHMS
 
 
@@ -188,6 +191,14 @@ def test_main_resource_limit_exit(capsys):
     code = main(["--n", "5", "--algo", "bfs", "--max-nodes", "10"])
     assert code == 1
     assert "resource_limit" in capsys.readouterr().out
+
+
+def test_main_wall_time_cap_ends_n8_bfs_as_resource_limit(capsys):
+    code = main(["--n", "8", "--algo", "bfs", "--max-seconds", "0.02"])
+    assert code == 1
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[2] == "bfs" and row[9] == "resource_limit"
+    assert int(row[6]) < 115777
 
 
 def test_main_config_error_exit(capsys):

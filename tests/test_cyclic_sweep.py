@@ -4,7 +4,8 @@ Each graph has up to about 200 int states and two operators; each operator
 maps a state to at most one state, so the graphs carry cycles, self-loops
 and parallel edges (both operators to one state). Known states are partly
 drawn from what earlier known states reach, and goal sets may contain known
-states. Every graph runs with and without a ``successors`` hook.
+states. Every graph runs with and without a ``successors`` hook, and keyed
+by a codec (states as their decimal text) with and without a key hook.
 
 After every expansion the run is checked against the independent oracles of
 ``helpers``: stored vectors equal per-source sweeps over the stored links,
@@ -68,13 +69,20 @@ def reachable(tables, start):
     return seen
 
 
-def representation(known, initial, goals, tables, hook):
+def representation(known, initial, goals, tables, hook, keyed=False):
     fns = tuple((lambda s, t=table: frozenset((t[s],)) if s in t else frozenset())
                 for table in tables)
 
     def walk(s):
         return [(j, table[s]) for j, table in enumerate(tables) if s in table]
 
+    def key_walk(key):
+        return [(j, str(t)) for j, t in walk(int(key))]
+
+    if keyed:
+        return EssmRepresentation(tuple(known), initial.__contains__, goals.__contains__,
+                                  fns, successors=key_walk if hook else None,
+                                  encode=str, decode=int)
     return EssmRepresentation(tuple(known), initial.__contains__, goals.__contains__,
                               fns, successors=walk if hook else None)
 
@@ -154,7 +162,8 @@ def test_ebfs_matches_the_oracles_on_random_cyclic_graphs(chunk, monkeypatch):
     for seed in range(chunk, GRAPHS, 4):
         case = random_case(random.Random(seed))
         plain, plain_record = checked_run(representation(*case, hook=False), *case[:3])
-        _, hooked_record = checked_run(representation(*case, hook=True), *case[:3])
-        assert hooked_record == plain_record, seed
+        for hook, keyed in ((True, False), (False, True), (True, True)):
+            _, record = checked_run(representation(*case, hook=hook, keyed=keyed), *case[:3])
+            assert record == plain_record, (seed, hook, keyed)
         outcomes.add(plain.outcome)
     assert outcomes == {Outcome.SUCCESS, Outcome.FAILURE}

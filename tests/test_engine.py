@@ -15,7 +15,7 @@ from essm_search import (INF, Edge, EssmRepresentation, ModelError,
                          SearchLimits, SingleStateSolution, bfs, ebfs, engine,
                          expand, f_update, goal_condition, make_classical,
                          reconstruct_path, seed, select, validate_path)
-from essm_search.nqueens import (KnownState, KnownStateSpec,
+from essm_search.nqueens import (KnownState, KnownStateSpec, NQueensState,
                                  ROLE_FALSE_HEURISTIC, ROLE_INITIAL,
                                  ROLE_ON_SOLUTION, _attack_table, empty_board,
                                  false_heuristic_state, nqueens_rep,
@@ -108,6 +108,53 @@ def test_database_assigns_discovery_order_and_rejects_repeats():
         db.add("a", (1,))
     with pytest.raises(ModelError):
         db.node_for("zz")
+
+
+def test_mark_open_refuses_a_closed_node():
+    db = NodeDatabase()
+    a = open_node(db, "a", (0,))
+    db.mark_open(a)
+    assert db.open_count == 1
+    db.mark_closed(a)
+    with pytest.raises(ModelError, match="closed"):
+        db.mark_open(a)
+    assert db.node(a).f_status is NodeStatus.CLOSED
+    assert (db.open_count, db.closed_count) == (0, 1)
+
+
+# --- keyed representations ----------------------------------------------
+
+def test_a_board_of_another_size_never_aliases_a_same_mask_state():
+    db = NodeDatabase()
+    seed(db, queens_rep(5))
+    expand(db, db.node_for(empty_board(5)), queens_rep(5))
+    corner = NQueensState(5, ((0, 0),))
+    assert db.lookup(corner) is not None
+    for foreign in (NQueensState(4, ((0, 0),)), empty_board(4), "5:0,0", 1):
+        assert db.lookup(foreign) is None
+        with pytest.raises(ModelError):
+            db.node_for(foreign)
+        with pytest.raises(ModelError):
+            db.add(foreign, (INF,))
+    assert [node.state for node in db][:2] == [empty_board(5), corner]
+
+
+def test_keyed_failures_name_the_decoded_state():
+    def boom(s):
+        raise ValueError("no")
+
+    rep = queens_rep(5)
+    for search in (ebfs, bfs):
+        with pytest.raises(ProblemDefinitionError,
+                           match=r"successors failed on NQueensState\(n=5, queens=\(\)\)"):
+            search(dataclasses.replace(rep, successors=boom))
+        with pytest.raises(ProblemDefinitionError, match=r"goal predicate failed on "
+                           r"NQueensState\(n=5, queens=\(\(0, 0\),\)\)"):
+            search(dataclasses.replace(rep, goal=lambda s: s.queens and boom(s)))
+        with pytest.raises(ProblemDefinitionError, match=r"forward function 0 failed on "
+                           r"NQueensState\(n=5, queens=\(\)\)"):
+            search(dataclasses.replace(rep, successors=None,
+                                       forward_fns=(boom,) + rep.forward_fns[1:]))
 
 
 # --- seeding -------------------------------------------------------------
@@ -307,6 +354,23 @@ def test_expand_links_each_parent_once_in_link_order():
     assert mid.f_distance == (1, 1)
 
 
+def test_expand_links_a_merging_parent_once_whatever_its_operator_count():
+    # both operators of states 0 and 2 produce state 1; 0 expands first
+    step = lambda s: frozenset((1,)) if s in (0, 2) else frozenset()
+    rep = EssmRepresentation((0, 2), lambda s: s == 0, lambda s: False, (step, step))
+    db = NodeDatabase()
+    seed(db, rep)
+    zero, two = db.node(db.node_for(0)), db.node(db.node_for(2))
+    expand(db, zero.order, rep)
+    expand(db, two.order, rep)
+    mid = db.node(db.node_for(1))
+    assert db.duplicate_hits == 3
+    assert zero.f_children == two.f_children == (mid,)
+    assert mid.f_parents == (zero, two)
+    assert mid.parent_ops == {zero: 0, two: 0}
+    assert mid.f_distance == (1, 1)
+
+
 def test_expand_wraps_operator_failures():
     def boom(s):
         raise ValueError("no")
@@ -362,6 +426,16 @@ def derived_successors(rep):
     return dataclasses.replace(rep, successors=walk)
 
 
+def keyed_variants(rep):
+    """``rep`` keyed by its int states' decimal text, with the walk derived
+    from the forward functions and with a key-level hook."""
+    keyed = dataclasses.replace(rep, encode=str, decode=int)
+
+    def walk(key):
+        return [(i, str(t)) for i, f in enumerate(rep.forward_fns) for t in f(int(key))]
+    return keyed, dataclasses.replace(keyed, successors=walk)
+
+
 def search_record(result):
     return ([n.state for n in result.db],
             [{p.state: i for p, i in n.parent_ops.items()} for n in result.db],
@@ -376,9 +450,22 @@ def test_derived_successor_walk_searches_like_the_forward_loop(search):
     for known, goal in (((0, 44, 46), (43,)), ((0, 12, 30), (41, 42)),
                         ((0,), (99,))):
         rep, _ = graph_rep(edges, known, initial=(0,), goal=goal)
-        plain, walked = search(rep), search(derived_successors(rep))
-        assert search_record(walked) == search_record(plain)
+        plain = search(rep)
+        for variant in (derived_successors(rep), *keyed_variants(rep)):
+            assert search_record(search(variant)) == search_record(plain)
     assert plain.outcome is Outcome.FAILURE
+
+
+@pytest.mark.parametrize("search", [ebfs, bfs])
+def test_queens_keyed_by_mask_search_like_queens_keyed_by_state(search):
+    rep = three_known_rep(6, 3) if search is ebfs else queens_rep(6)
+    unkeyed = dataclasses.replace(rep, successors=None, encode=None, decode=None)
+    trace_keyed, trace_unkeyed = [], []
+    keyed_result = search(rep, trace=trace_keyed.append)
+    assert search_record(keyed_result) == search_record(
+        search(unkeyed, trace=trace_unkeyed.append))
+    assert trace_keyed == trace_unkeyed
+    assert all(type(e.src) is NQueensState for e in keyed_result.solution.edges)
 
 
 @pytest.mark.parametrize("search", [ebfs, bfs])
@@ -684,12 +771,25 @@ def test_bfs_respects_caps():
     assert capped.stats.expansions == 2
 
 
+@pytest.mark.parametrize("search", [bfs, ebfs])
+def test_a_tiny_wall_time_cap_ends_n8_as_resource_limit(search):
+    result = search(queens_rep(8), limits=SearchLimits(max_seconds=0.02))
+    assert result.outcome is Outcome.RESOURCE_LIMIT
+    assert result.solution is None
+    assert result.stats.expansions < 115777
+
+
+def test_a_wall_time_cap_that_is_not_reached_changes_nothing():
+    capped = bfs(queens_rep(6), limits=SearchLimits(max_seconds=600))
+    assert search_record(capped) == search_record(bfs(queens_rep(6)))
+
+
 # --- memory -------------------------------------------------------------
 
-@pytest.mark.parametrize("search, rep", [(bfs, queens_rep(7)),
-                                         (ebfs, three_known_rep(7, 3))],
+@pytest.mark.parametrize("search, rep, bound", [(bfs, queens_rep(7), 250),
+                                                (ebfs, three_known_rep(7, 3), 450)],
                          ids=["bfs", "ebfs3"])
-def test_search_memory_per_node_stays_small(search, rep):
+def test_search_memory_per_node_stays_small(search, rep, bound):
     _attack_table(7)  # built once per process; not part of the search
     tracemalloc.start()
     try:
@@ -698,4 +798,4 @@ def test_search_memory_per_node_stays_small(search, rep):
     finally:
         tracemalloc.stop()
     assert result.outcome is Outcome.SUCCESS
-    assert peak / result.stats.nodes_created <= 600
+    assert peak / result.stats.nodes_created <= bound

@@ -76,6 +76,21 @@ def test_representation_checks_the_successor_walk():
                            successors=lambda s: ())
 
 
+def test_representation_takes_a_codec_whole_or_not_at_all():
+    f = lambda s: frozenset()
+    rep = EssmRepresentation((1,), lambda s: False, lambda s: False, (f,))
+    assert rep.encode is None and rep.decode is None
+    keyed = EssmRepresentation((1,), lambda s: False, lambda s: False, (f,),
+                               encode=str, decode=int)
+    assert (keyed.encode, keyed.decode) == (str, int)
+    for half in ({"encode": str}, {"decode": int}):
+        with pytest.raises(ModelError, match="both or neither"):
+            EssmRepresentation((1,), lambda s: False, lambda s: False, (f,), **half)
+    with pytest.raises(ModelError):
+        EssmRepresentation((1,), lambda s: False, lambda s: False, (f,),
+                           encode=str, decode="not callable")
+
+
 def test_finite_space_text_round_trip():
     space = FiniteSpace((3, 1, 2))
     text = space.to_text(str)

@@ -224,12 +224,15 @@ def test_rep_operators_refuse_occupied_and_attacked_squares():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_successor_walk_matches_the_placement_functions(n):
+    # the hook works on keys: decoded, its pairs are the placement functions'
     rep = nqueens_rep(n, single_known(n))
     for s in enumerate_states(n):
-        assert list(rep.successors(s)) == [
+        assert [(i, rep.decode(k)) for i, k in rep.successors(rep.encode(s))] == [
             (i, t) for i, f in enumerate(rep.forward_fns) for t in f(s)]
+        assert rep.walk(rep.encode(s)) == list(rep.successors(rep.encode(s)))
+    # a board of another size has no key, so no walk ever reaches it
     other = empty_board(n + 1)
-    assert list(rep.successors(other)) == []
+    assert rep.encode(other) is None
     assert all(f(other) == frozenset() for f in rep.forward_fns)
 
 
@@ -237,7 +240,8 @@ def test_trusted_children_equal_their_public_twins():
     for n in range(1, 6):
         rep = nqueens_rep(n, single_known(n))
         for s in enumerate_states(n):
-            for sq, child in rep.successors(s):
+            for sq, key in rep.successors(rep.encode(s)):
+                child = rep.decode(key)
                 r, c = divmod(sq, n)
                 twin = NQueensState(n, s.queens + ((r, c),))
                 assert child == twin and twin == child
@@ -246,6 +250,7 @@ def test_trusted_children_equal_their_public_twins():
                 assert child.queens == twin.queens
                 assert s.with_queen(r, c) == child
                 assert parse_state(str(child)) == child
+                assert rep.encode(child) == rep.encode(twin) == key
 
 
 def test_rep_predicates():
