@@ -8,7 +8,8 @@ the best known distance from each known state (index fixed by the order of
 subtree grown from one known state runs into the subtree of another, the
 distance update cascades through the already-closed nodes, so the merged
 subgraph immediately knows how far every node is from every source that
-reaches it.
+reaches it. Links sit in typed int arrays, and nodes with equal vectors
+share one tuple.
 
 The search succeeds as soon as some discovered goal node has a finite
 distance from a known state that satisfies the initial predicate (a live
@@ -60,12 +61,6 @@ class NodeStatus(Enum):
 # status codes in NodeDatabase._status, indexes into _STATUSES
 _UNSET, _OPEN, _CLOSED = 0, 1, 2
 _STATUSES = (NodeStatus.UNSET, NodeStatus.OPEN, NodeStatus.CLOSED)
-
-
-def _pairs(flat: list) -> zip:
-    """(parent id, op) pairs of a flat parent list."""
-    it = iter(flat)
-    return zip(it, it)
 
 
 class SearchNode:
@@ -145,15 +140,17 @@ class NodeDatabase:
     ``node_for`` and ``add`` take states.
 
     Position ``i`` of each column belongs to node ``i``: its key, its
-    distance tuple (shared between nodes while their vectors are equal), its
-    status code, and in ``array('i')`` columns its first parent and the
-    operator of that link (-1 for none) and the ``[lo, hi)`` bounds of its
-    children in one flat child-id array. A node's links are all made during
-    its single expansion, so its children are one run of that array, in
-    link order. Further parents, which only merges in :func:`expand`
-    create, sit in a side dict of flat ``[parent id, op, ...]`` lists, one
-    pair per distinct parent in link order. Iterating the database yields
-    read-only :class:`SearchNode` views.
+    distance tuple, its status code, and in ``array('i')`` columns its first
+    parent and the operator of that link (-1 for none), its last extra link
+    (-1 for none) and the ``[lo, hi)`` bounds of its children in one flat
+    child-id array. A node's links are all made during its single
+    expansion, so its children are one run of that array, in link order.
+    Further parents, which only merges in :func:`expand` create, are extra
+    links in three parallel ``array('i')`` columns: parent, op, and the
+    node's previous extra link (-1 for none), one per distinct parent.
+    Every stored distance vector is the one tuple a dict keeps for its
+    value, so nodes with equal vectors share it. Iterating the database
+    yields read-only :class:`SearchNode` views.
 
     Also owns the frontier index behind :func:`select`: a lazy-deletion heap
     of (min distance entry, id), so selection stays cheap while staying
@@ -171,7 +168,11 @@ class NodeDatabase:
         self._status = bytearray()
         self._parent = array("i")
         self._op = array("i")
-        self._more_parents: dict[int, list[int]] = {}
+        self._xhead = array("i")
+        self._xparent = array("i")
+        self._xop = array("i")
+        self._xprev = array("i")
+        self._vectors: dict[tuple, tuple] = {}
         self._kids = array("i")
         self._lo = array("i")
         self._hi = array("i")
@@ -214,7 +215,15 @@ class NodeDatabase:
         p = self._parent[i]
         if p < 0:
             return []
-        return [(p, self._op[i]), *_pairs(self._more_parents.get(i, ()))]
+        xparent, xop, xprev = self._xparent, self._xop, self._xprev
+        links = []
+        x = self._xhead[i]
+        while x >= 0:
+            links.append((xparent[x], xop[x]))
+            x = xprev[x]
+        links.append((p, self._op[i]))
+        links.reverse()
+        return links
 
     def lookup(self, state: State) -> Optional[int]:
         """The id of ``state``'s node; None when it has none."""
@@ -242,10 +251,11 @@ class NodeDatabase:
         i = len(self._keys)
         self._ids[key] = i
         self._keys.append(key)
-        self._dist.append(distance)
+        self._dist.append(self._vectors.setdefault(distance, distance))
         self._status.append(_UNSET)
         self._parent.append(-1)
         self._op.append(-1)
+        self._xhead.append(-1)
         self._lo.append(0)
         self._hi.append(0)
         return i
@@ -341,7 +351,7 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
     made. A change that gives a goal node a finite entry at a live index
     raises the stop flag.
     """
-    dist, status = db._dist, db._status
+    dist, status, vectors = db._dist, db._status, db._vectors
     kids, lo, hi = db._kids, db._lo, db._hi
     goals, live = db._goals, db._live
     if len(candidate) != len(dist[i]):
@@ -353,7 +363,7 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
         new = tuple(map(min, old, cand))
         if new == old:
             continue
-        dist[x] = new
+        dist[x] = new = vectors.setdefault(new, new)
         db.note_distance_change(x, new)
         if x in goals and any(new[j] != INF for j in live):
             db._goal_reached = True
@@ -373,7 +383,8 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     distances plus at least one. Unknown successors are created open with
     that vector and enter the frontier once, already final. Known ones are
     linked (once per parent, keeping the first operator) and relaxed
-    against the same vector; only a real drop runs :func:`f_update`. A
+    against the same vector; only a real drop runs :func:`f_update`, and a
+    successor whose stored vector is that very tuple cannot drop. A
     successor equal to curr itself just adds a self-link. ``on_change``
     also fires for each new node, from the all-infinite vector to its
     first one. The goal predicate runs once on each new node, decoded.
@@ -383,12 +394,13 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
         raise ModelError("only open nodes can be expanded")
     frontier = db._frontier
     ids, keys, dist, decode = db._ids, db._keys, db._dist, db._decode
-    parent, first_op, more = db._parent, db._op, db._more_parents
+    parent, first_op, xhead, xparent = db._parent, db._op, db._xhead, db._xparent
+    add_xparent, add_xop, add_xprev = xparent.append, db._xop.append, db._xprev.append
     kids, lo, hi = db._kids, db._lo, db._hi
     goal, goals, live = rep.goal, db._goals, db._live
     db.expansions += 1
-    d = dist[curr]
-    plus1 = tuple(x + 1 for x in d)
+    plus1 = tuple(x + 1 for x in dist[curr])
+    plus1 = db._vectors.setdefault(plus1, plus1)
     plus1_min = min(plus1)
     lo[curr] = len(kids)
     first = n = len(keys)
@@ -401,6 +413,7 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
             status.append(_OPEN)
             parent.append(curr)
             first_op.append(op)
+            xhead.append(-1)
             lo.append(0)
             hi.append(0)
             kids.append(i)
@@ -427,14 +440,15 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
             first_op[i] = op
             kids.append(i)
         elif p != curr:
-            extra = more.get(i)
-            if extra is None:
-                more[i] = [curr, op]
+            h = xhead[i]
+            if h < 0 or xparent[h] != curr:
+                xhead[i] = len(xparent)
+                add_xparent(curr)
+                add_xop(op)
+                add_xprev(h)
                 kids.append(i)
-            elif extra[-2] != curr:
-                extra += (curr, op)
-                kids.append(i)
-        if any(map(gt, dist[i], plus1)):
+        old = dist[i]
+        if old is not plus1 and any(map(gt, old, plus1)):
             f_update(db, i, plus1, on_change)
     hi[curr] = len(kids)
     db.duplicate_hits += duplicates
@@ -623,9 +637,10 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
     finite at the live index 0, so a new goal node raises the stop flag.
     curr's children are the new nodes, so they are one id range."""
     ids, keys, dist, status = db._ids, db._keys, db._dist, db._status
-    parent, first_op, lo, hi = db._parent, db._op, db._lo, db._hi
+    parent, first_op, xhead, lo, hi = db._parent, db._op, db._xhead, db._lo, db._hi
     goal, decode = rep.goal, db._decode
     child_dist = (dist[curr][0] + 1,)
+    child_dist = db._vectors.setdefault(child_dist, child_dist)
     db.expansions += 1
     first = n = len(keys)
     duplicates = 0
@@ -638,6 +653,7 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
         status.append(_OPEN)
         parent.append(curr)
         first_op.append(op)
+        xhead.append(-1)
         lo.append(0)
         hi.append(0)
         queue.append(n)

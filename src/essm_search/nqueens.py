@@ -149,13 +149,18 @@ def _attack_table(n: int) -> tuple:
 def _free_mask(n: int, mask: int) -> int:
     """The squares of an n-by-n board that no queen of ``mask`` occupies
     or attacks."""
-    attack = _attack_table(n)
+    return _unattacked(_attack_table(n), (1 << (n * n)) - 1, mask)
+
+
+def _unattacked(attack: tuple, board: int, mask: int) -> int:
+    """The squares of ``board`` that no queen of ``mask`` occupies or
+    attacks, by the size's attack table."""
     blocked = 0
     while mask:
         low = mask & -mask
         blocked |= attack[low.bit_length() - 1]
         mask ^= low
-    return ((1 << (n * n)) - 1) & ~blocked
+    return board & ~blocked
 
 
 def empty_board(n: int) -> NQueensState:
@@ -267,10 +272,15 @@ def _placement_fn(n: int, sq: int):
 def _successor_walk(n: int):
     """Every (square, child mask) placement of a mask, ascending by square:
     the pairs the per-square placement functions give, in their index
-    order, as keys."""
+    order, as keys. The attack table is bound on the first walk."""
+    attack = None
+    board = (1 << (n * n)) - 1
 
     def successors(mask: int) -> list:
-        free = _free_mask(n, mask)
+        nonlocal attack
+        if attack is None:
+            attack = _attack_table(n)
+        free = _unattacked(attack, board, mask)
         out = []
         while free:
             low = free & -free

@@ -371,6 +371,34 @@ def test_expand_links_a_merging_parent_once_whatever_its_operator_count():
     assert mid.f_distance == (1, 1)
 
 
+def test_expand_keeps_four_parents_in_link_order():
+    # 9 reaches 5 by two operators; then 3, 2 (by two operators) and 1,
+    # discovered as 1, 2, 3, link to it in the reverse of discovery order
+    table = ({0: 1, 9: 5, 3: 5}, {0: 2, 9: 5, 2: 5}, {0: 3, 2: 5, 1: 5})
+    step = tuple(lambda s, t=t: frozenset((t[s],)) if s in t else frozenset()
+                 for t in table)
+    rep = EssmRepresentation((0, 9), lambda s: s == 0, lambda s: False, step)
+    db = NodeDatabase()
+    seed(db, rep)
+    expand(db, db.node_for(9), rep)
+    assert db.duplicate_hits == 1
+    expand(db, db.node_for(0), rep)
+    one, two, three, five, nine = (db.node(db.node_for(s)) for s in (1, 2, 3, 5, 9))
+    assert one.order < two.order < three.order
+    for parent, hits in ((three, 2), (two, 4), (one, 5)):
+        expand(db, parent.order, rep)
+        assert db.duplicate_hits == hits
+        assert parent.f_children == (five,)
+    assert five.f_parents == (nine, three, two, one)
+    assert list(five.parent_ops.items()) == [(nine, 0), (three, 0), (two, 1), (one, 2)]
+    assert five.f_distance == (2, 1)
+    # 1, 2 and 3 all lie one step from 0: the earliest discovered wins
+    path = reconstruct_path(db, five.order, 0)
+    assert path.states() == (0, 1, 5)
+    assert [e.op.index for e in path.edges] == [0, 2]
+    assert reconstruct_path(db, five.order, 1).states() == (9, 5)
+
+
 def test_expand_wraps_operator_failures():
     def boom(s):
         raise ValueError("no")
@@ -698,6 +726,29 @@ def test_ebfs_stored_distances_match_per_source_sweep():
         assert node.f_distance == tuple(want[node])
 
 
+def shares_vectors(db):
+    """Equal distance vectors of ``db`` are one tuple."""
+    return len({id(v) for v in db._dist}) == len(set(db._dist))
+
+
+def test_equal_distance_vectors_are_one_tuple():
+    shortcut, _ = graph_rep([("s", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("t", "c")],
+                            known=["s", "t"], initial=["s"], goal=[])
+    for rep in (shortcut, three_known_rep(7, 3)):
+        closed_changes = []
+        result = ebfs(rep, on_distance_update=lambda node, old, new: closed_changes.append(
+            node.f_status is NodeStatus.CLOSED))
+        assert any(closed_changes)  # a change cascaded through a closed node
+        want = oracle_stored_distances(result.db)
+        for node in result.db:
+            assert node.f_distance == tuple(want[node])
+        assert shares_vectors(result.db)
+    result = bfs(queens_rep(7))
+    want = oracle_stored_distances(result.db)
+    assert all(node.f_distance == tuple(want[node]) for node in result.db)
+    assert shares_vectors(result.db) and len(set(result.db._dist)) == 8
+
+
 def test_ebfs_runs_are_deterministic():
     def run():
         events = []
@@ -786,9 +837,34 @@ def test_a_wall_time_cap_that_is_not_reached_changes_nothing():
 
 # --- memory -------------------------------------------------------------
 
-@pytest.mark.parametrize("search, rep, bound", [(bfs, queens_rep(7), 250),
-                                                (ebfs, three_known_rep(7, 3), 450)],
-                         ids=["bfs", "ebfs3"])
+def relay_dag_rep(width=600, layers=24, relay_layers=(9, 15, 20)):
+    """An int-state layered DAG: a root, then ``layers - 1`` layers of
+    ``width`` states, each mapped by three forward functions to random
+    states of the next layer. Half the last layer are goals. The known
+    states are the root and, in each of ``relay_layers``, the smallest
+    state the root reaches."""
+    rng = random.Random(2014)
+    tables = ({}, {}, {})
+    reached, relays = {0}, []
+    for layer in range(1, layers):
+        base = 1 + (layer - 1) * width
+        for s in sorted(reached):
+            for table in tables:
+                table[s] = base + rng.randrange(width)
+        reached = {table[s] for s in reached for table in tables}
+        if layer in relay_layers:
+            relays.append(min(reached))
+    goals = {s for s in reached if rng.random() < 0.5}
+    return EssmRepresentation(
+        (0, *relays), lambda s: s == 0, goals.__contains__,
+        tuple(lambda s, t=t: frozenset((t[s],)) if s in t else frozenset() for t in tables),
+        successors=lambda s: [(j, t[s]) for j, t in enumerate(tables) if s in t])
+
+
+@pytest.mark.parametrize("search, rep, bound", [(bfs, queens_rep(7), 200),
+                                                (ebfs, three_known_rep(7, 3), 320),
+                                                (ebfs, relay_dag_rep(), 200)],
+                         ids=["bfs", "ebfs3", "relay"])
 def test_search_memory_per_node_stays_small(search, rep, bound):
     _attack_table(7)  # built once per process; not part of the search
     tracemalloc.start()

@@ -9,8 +9,9 @@ import pytest
 from essm_search import (ClassificationError, FiniteSpace, ModelError,
                          StateParseError, classify)
 from essm_search.nqueens import (KnownState, KnownStateSpec, NQueensState,
-                                 ROLE_EXPLICIT, ROLE_INITIAL, empty_board,
-                                 enumerate_space, enumerate_states,
+                                 ROLE_EXPLICIT, ROLE_FALSE_HEURISTIC,
+                                 ROLE_INITIAL, ROLE_ON_SOLUTION, _attack_table,
+                                 empty_board, enumerate_space, enumerate_states,
                                  false_heuristic_state, first_solution,
                                  format_state, nqueens_rep, on_solution_state,
                                  parse_state)
@@ -234,6 +235,20 @@ def test_successor_walk_matches_the_placement_functions(n):
     other = empty_board(n + 1)
     assert rep.encode(other) is None
     assert all(f(other) == frozenset() for f in rep.forward_fns)
+
+
+def test_the_attack_table_is_built_on_the_first_walk_and_looked_up_once():
+    _attack_table.cache_clear()
+    prefix = on_solution_state(8, 4)
+    rep = nqueens_rep(8, KnownStateSpec((
+        KnownState(empty_board(8), ROLE_INITIAL),
+        KnownState(prefix, ROLE_ON_SOLUTION),
+        KnownState(false_heuristic_state(8, prefix), ROLE_FALSE_HEURISTIC))))
+    assert _attack_table.cache_info().misses == 0
+    assert len(rep.successors(0)) == 64
+    assert len(rep.successors(1)) == 42  # a corner queen blocks 22 squares
+    info = _attack_table.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
 
 
 def test_trusted_children_equal_their_public_twins():
