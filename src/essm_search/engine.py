@@ -2,14 +2,14 @@
 
 Every discovered state gets exactly one node, identified by an int id that
 is its discovery index and found by the state's key (see the representation's
-codec). A node holds its status, its parent/child links, and a vector with
-the best known distance from each known state (index fixed by the order of
+codec). A node holds its status, its child links, and a vector with the best
+known distance from each known state (index fixed by the order of
 ``known_states``). All known states are seeded as one frontier; when the
 subtree grown from one known state runs into the subtree of another, the
 distance update cascades through the already-closed nodes, so the merged
 subgraph immediately knows how far every node is from every source that
-reaches it. Links sit in typed int arrays, and nodes with equal vectors
-share one tuple.
+reaches it. Only child links are stored; parents and operators are derived
+when asked. Nodes with equal vectors share one tuple.
 
 The search succeeds as soon as some discovered goal node has a finite
 distance from a known state that satisfies the initial predicate (a live
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import time
 from array import array
 from collections import deque
@@ -70,9 +71,9 @@ class SearchNode:
     the same node in the same database are equal and hash alike. ``state``
     is the decoded state. The links come out in the order they were made;
     ``parent_ops`` maps each parent to the forward function index of its
-    first link. ``b_distance`` is 0 at the index of the known state a seed
-    was placed for and infinite elsewhere (only a seed is at distance 0 from
-    a known state).
+    link. ``b_distance`` is 0 at the index of the known state a seed was
+    placed for and infinite elsewhere (only a seed is at distance 0 from a
+    known state).
     """
 
     __slots__ = ("_db", "_order")
@@ -109,12 +110,13 @@ class SearchNode:
 
     @property
     def f_parents(self) -> tuple:
-        return tuple(self._db.node(p) for p, _ in self._db._parent_links(self._order))
+        db = self._db
+        return tuple(map(db.node, db._parent_index().get(self._order, ())))
 
     @property
     def parent_ops(self) -> dict:
-        node = self._db.node
-        return {node(p): op for p, op in self._db._parent_links(self._order)}
+        db, i = self._db, self._order
+        return {db.node(p): db._link_op(p, i) for p in db._parent_index().get(i, ())}
 
     def min_distance(self) -> float:
         return min(self.f_distance)
@@ -135,22 +137,21 @@ class NodeDatabase:
     """Columnar store of search nodes, indexed by int id in discovery order.
 
     Nodes are keyed by the representation's ``encode`` (the state itself
-    without a codec); the database takes the codec when it is seeded, and
-    decodes only for views, traces, solutions and messages. ``lookup``,
-    ``node_for`` and ``add`` take states.
+    without a codec); the database takes the codec and the walk when it is
+    seeded, and decodes only for views, traces, solutions and messages.
+    ``lookup``, ``node_for`` and ``add`` take states.
 
     Position ``i`` of each column belongs to node ``i``: its key, its
-    distance tuple, its status code, and in ``array('i')`` columns its first
-    parent and the operator of that link (-1 for none), its last extra link
-    (-1 for none) and the ``[lo, hi)`` bounds of its children in one flat
-    child-id array. A node's links are all made during its single
-    expansion, so its children are one run of that array, in link order.
-    Further parents, which only merges in :func:`expand` create, are extra
-    links in three parallel ``array('i')`` columns: parent, op, and the
-    node's previous extra link (-1 for none), one per distinct parent.
-    Every stored distance vector is the one tuple a dict keeps for its
-    value, so nodes with equal vectors share it. Iterating the database
-    yields read-only :class:`SearchNode` views.
+    distance tuple, its status code and, in ``array('i')`` columns, the
+    ``[lo, hi)`` bounds of its children in one flat child-id array. A node's
+    links are all made during its single expansion, so its children are one
+    run of that array, in link order, after the marker ``~i``. A node's
+    parents are the runs that hold its id, in link order, and a link's
+    operator is the first of the parent's walk pairs that yields the child
+    (the walk is pure). Every stored distance vector is the one tuple a dict
+    keeps for its value, so nodes with equal vectors share it. Iterating the
+    database yields read-only :class:`SearchNode` views, whose parent reads
+    build a reverse index of the runs.
 
     Also owns the frontier index behind :func:`select`: a lazy-deletion heap
     of (min distance entry, id), so selection stays cheap while staying
@@ -162,20 +163,17 @@ class NodeDatabase:
     def __init__(self):
         self._encode: Optional[Callable] = None
         self._decode: Optional[Callable] = None
+        self._walk: Optional[Callable] = None
         self._ids: dict = {}
         self._keys: list = []
         self._dist: list[tuple] = []
         self._status = bytearray()
-        self._parent = array("i")
-        self._op = array("i")
-        self._xhead = array("i")
-        self._xparent = array("i")
-        self._xop = array("i")
-        self._xprev = array("i")
         self._vectors: dict[tuple, tuple] = {}
         self._kids = array("i")
         self._lo = array("i")
         self._hi = array("i")
+        self._index: dict[int, list] = {}
+        self._indexed = 0  # len(_kids) when _index was built
         self.open_count = 0
         self.closed_count = 0
         self.max_open_size = 0
@@ -196,11 +194,11 @@ class NodeDatabase:
         """The view of node ``i``."""
         return SearchNode(self, i)
 
-    def _use_codec(self, rep: EssmRepresentation) -> None:
-        """Key nodes with ``rep``'s codec; only an empty database may."""
+    def _use_rep(self, rep: EssmRepresentation) -> None:
+        """Take ``rep``'s codec and walk; only an empty database may."""
         if len(self):
             raise ModelError("seeding requires an empty database")
-        self._encode, self._decode = rep.encode, rep.decode
+        self._encode, self._decode, self._walk = rep.encode, rep.decode, rep.walk
 
     def _key(self, state: State):
         return state if self._encode is None else self._encode(state)
@@ -210,20 +208,48 @@ class NodeDatabase:
         key = self._keys[i]
         return key if self._decode is None else self._decode(key)
 
-    def _parent_links(self, i: int) -> list:
-        """Node ``i``'s (parent id, op) pairs in link order."""
-        p = self._parent[i]
-        if p < 0:
-            return []
-        xparent, xop, xprev = self._xparent, self._xop, self._xprev
-        links = []
-        x = self._xhead[i]
-        while x >= 0:
-            links.append((xparent[x], xop[x]))
-            x = xprev[x]
-        links.append((p, self._op[i]))
-        links.reverse()
-        return links
+    def _parents(self, i: int) -> list[int]:
+        """Node ``i``'s parent ids in link order, by a byte search of the
+        runs at whole-entry offsets (``i``'s bytes can span two entries)."""
+        kids = self._kids
+        size = kids.itemsize
+        search = re.compile(re.escape(array("i", (i,)).tobytes())).search
+        parents = []
+        with memoryview(kids) as view, view.cast("B") as raw:
+            m = search(raw)
+            while m is not None:
+                pos = m.start()
+                if pos % size == 0:
+                    j = pos // size - 1
+                    while kids[j] >= 0:
+                        j -= 1
+                    parents.append(~kids[j])
+                m = search(raw, pos + 1)
+        return parents
+
+    def _parent_index(self) -> dict[int, list]:
+        """Each linked node's parent ids in link order, for views; built
+        again once the runs have grown."""
+        kids = self._kids
+        if self._indexed != len(kids):
+            index: dict[int, list] = {}
+            p = -1
+            for x in kids:
+                if x < 0:
+                    p = ~x
+                else:
+                    index.setdefault(x, []).append(p)
+            self._index, self._indexed = index, len(kids)
+        return self._index
+
+    def _link_op(self, p: int, i: int) -> int:
+        """The operator of the link from ``p`` to ``i``."""
+        key = self._keys[i]
+        for op, k in self._walk(self._keys[p]):
+            if k == key:
+                return op
+        raise SearchInvariantError(
+            f"{self._state(p)!r} no longer yields its child {self._state(i)!r}")
 
     def lookup(self, state: State) -> Optional[int]:
         """The id of ``state``'s node; None when it has none."""
@@ -253,9 +279,6 @@ class NodeDatabase:
         self._keys.append(key)
         self._dist.append(self._vectors.setdefault(distance, distance))
         self._status.append(_UNSET)
-        self._parent.append(-1)
-        self._op.append(-1)
-        self._xhead.append(-1)
         self._lo.append(0)
         self._hi.append(0)
         return i
@@ -304,8 +327,8 @@ def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
     """Insert one open node per known state, in order, with distance zero to
     itself and infinity elsewhere. ``initial`` runs once per known state and
     fixes the live indexes; ``goal`` runs once per seed. The database takes
-    the representation's codec."""
-    db._use_codec(rep)
+    the representation's codec and walk."""
+    db._use_rep(rep)
     k = rep.k_count
     live = []
     for i, s in enumerate(rep.known_states):
@@ -382,38 +405,35 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     drop while it expands, since every change made here is curr's
     distances plus at least one. Unknown successors are created open with
     that vector and enter the frontier once, already final. Known ones are
-    linked (once per parent, keeping the first operator) and relaxed
-    against the same vector; only a real drop runs :func:`f_update`, and a
-    successor whose stored vector is that very tuple cannot drop. A
-    successor equal to curr itself just adds a self-link. ``on_change``
-    also fires for each new node, from the all-infinite vector to its
-    first one. The goal predicate runs once on each new node, decoded.
+    linked once each and relaxed against the same vector; only a real drop
+    runs :func:`f_update`, and a successor whose stored vector is that very
+    tuple cannot drop. A successor equal to curr itself just adds a
+    self-link. ``on_change`` also fires for each new node, from the
+    all-infinite vector to its first one. The goal predicate runs once on
+    each new node, decoded.
     """
     status = db._status
     if status[curr] != _OPEN:
         raise ModelError("only open nodes can be expanded")
     frontier = db._frontier
     ids, keys, dist, decode = db._ids, db._keys, db._dist, db._decode
-    parent, first_op, xhead, xparent = db._parent, db._op, db._xhead, db._xparent
-    add_xparent, add_xop, add_xprev = xparent.append, db._xop.append, db._xprev.append
     kids, lo, hi = db._kids, db._lo, db._hi
     goal, goals, live = rep.goal, db._goals, db._live
     db.expansions += 1
     plus1 = tuple(x + 1 for x in dist[curr])
     plus1 = db._vectors.setdefault(plus1, plus1)
     plus1_min = min(plus1)
+    kids.append(~curr)
     lo[curr] = len(kids)
     first = n = len(keys)
     duplicates = 0
-    for op, k2 in rep.walk(keys[curr]):
+    linked = set()  # nodes older than this expansion that curr has linked
+    for _, k2 in rep.walk(keys[curr]):
         i = ids.setdefault(k2, n)
         if i == n:
             keys.append(k2)
             dist.append(plus1)
             status.append(_OPEN)
-            parent.append(curr)
-            first_op.append(op)
-            xhead.append(-1)
             lo.append(0)
             hi.append(0)
             kids.append(i)
@@ -432,21 +452,10 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
                     db._goal_reached = True
             continue
         duplicates += 1
-        # links to i are only made while their parent expands, so a link
-        # from curr, if any, is i's last one
-        p = parent[i]
-        if p < 0:
-            parent[i] = curr
-            first_op[i] = op
+        # a node created in this expansion is already curr's child
+        if i < first and i not in linked:
+            linked.add(i)
             kids.append(i)
-        elif p != curr:
-            h = xhead[i]
-            if h < 0 or xparent[h] != curr:
-                xhead[i] = len(xparent)
-                add_xparent(curr)
-                add_xop(op)
-                add_xprev(h)
-                kids.append(i)
         old = dist[i]
         if old is not plus1 and any(map(gt, old, plus1)):
             f_update(db, i, plus1, on_change)
@@ -467,11 +476,12 @@ def goal_condition(db: NodeDatabase) -> bool:
 
 
 def reconstruct_path(db: NodeDatabase, goal: int, i: int) -> Path | SingleStateSolution:
-    """Walk stored parent links from node ``goal`` back to the known state
-    of index ``i``, at each step taking a parent exactly one step closer to
-    that known state (earliest-discovered parent on ties). Distance zero at
-    the goal itself means the known state is the goal: the result is then a
-    single-state solution with no edges."""
+    """Walk links back from node ``goal`` to the known state of index ``i``,
+    at each step taking a parent exactly one step closer to that known
+    state (earliest-discovered parent on ties). Only the nodes on the path
+    have their parents found, and only the chosen link its operator.
+    Distance zero at the goal itself means the known state is the goal: the
+    result is then a single-state solution with no edges."""
     state, dist_of = db._state, db._dist
     dist = dist_of[goal][i]
     if dist == INF:
@@ -481,14 +491,11 @@ def reconstruct_path(db: NodeDatabase, goal: int, i: int) -> Path | SingleStateS
     edges: list[Edge] = []
     cur = goal
     while dist > 0:
-        best = best_op = None
-        for p, op in db._parent_links(cur):
-            if dist_of[p][i] == dist - 1 and (best is None or p < best):
-                best, best_op = p, op
+        best = min((p for p in db._parents(cur) if dist_of[p][i] == dist - 1), default=None)
         if best is None:
             raise SearchInvariantError(
                 f"no parent of {state(cur)!r} at distance {dist - 1} from known state {i}")
-        edges.append(Edge(state(best), state(cur), OpRef(FORWARD, best_op)))
+        edges.append(Edge(state(best), state(cur), OpRef(FORWARD, db._link_op(best, cur))))
         cur = best
         dist -= 1
     edges.reverse()
@@ -637,23 +644,20 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
     finite at the live index 0, so a new goal node raises the stop flag.
     curr's children are the new nodes, so they are one id range."""
     ids, keys, dist, status = db._ids, db._keys, db._dist, db._status
-    parent, first_op, xhead, lo, hi = db._parent, db._op, db._xhead, db._lo, db._hi
+    lo, hi = db._lo, db._hi
     goal, decode = rep.goal, db._decode
     child_dist = (dist[curr][0] + 1,)
     child_dist = db._vectors.setdefault(child_dist, child_dist)
     db.expansions += 1
     first = n = len(keys)
     duplicates = 0
-    for op, k2 in rep.walk(keys[curr]):
+    for _, k2 in rep.walk(keys[curr]):
         if ids.setdefault(k2, n) != n:
             duplicates += 1
             continue
         keys.append(k2)
         dist.append(child_dist)
         status.append(_OPEN)
-        parent.append(curr)
-        first_op.append(op)
-        xhead.append(-1)
         lo.append(0)
         hi.append(0)
         queue.append(n)
@@ -667,6 +671,7 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
             db._goal_reached = True
         n += 1
     kids = db._kids
+    kids.append(~curr)
     lo[curr] = len(kids)
     kids.extend(range(first, n))
     hi[curr] = len(kids)
@@ -693,7 +698,7 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
     if rep.backward_fns:
         raise ModelError("backward function families are not supported by this engine")
     db = NodeDatabase()
-    db._use_codec(rep)
+    db._use_rep(rep)
     queue = deque(db.add(s, (0,)) for s in rep.known_states
                   if _holds(rep.initial, "initial", s))
     for i in queue:

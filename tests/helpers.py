@@ -8,9 +8,15 @@ checked against something that cannot share their bugs.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 from essm_search import EssmRepresentation, FiniteSpace
+from essm_search.nqueens import (KnownState, KnownStateSpec,
+                                 ROLE_FALSE_HEURISTIC, ROLE_INITIAL,
+                                 ROLE_ON_SOLUTION, empty_board,
+                                 false_heuristic_state, nqueens_rep,
+                                 on_solution_state)
 
 INF = math.inf
 
@@ -51,6 +57,46 @@ def graph_rep(edges, known, initial, goal):
         forward_fns=tuple(fn(j) for j in range(max(max_deg, 1))),
     )
     return rep, FiniteSpace(tuple(sorted(nodes)))
+
+
+def queens_rep(n, *extra_depths):
+    entries = [KnownState(empty_board(n), ROLE_INITIAL)]
+    for d in extra_depths:
+        entries.append(KnownState(on_solution_state(n, d), ROLE_ON_SOLUTION))
+    return nqueens_rep(n, KnownStateSpec(tuple(entries)))
+
+
+def three_known_rep(n, depth):
+    """The empty board, a solution prefix and its false-heuristic state."""
+    prefix = on_solution_state(n, depth)
+    return nqueens_rep(n, KnownStateSpec((
+        KnownState(empty_board(n), ROLE_INITIAL),
+        KnownState(prefix, ROLE_ON_SOLUTION),
+        KnownState(false_heuristic_state(n, prefix), ROLE_FALSE_HEURISTIC))))
+
+
+def relay_dag_rep(width=600, layers=24, relay_layers=(9, 15, 20)):
+    """An int-state layered DAG: a root, then ``layers - 1`` layers of
+    ``width`` states, each mapped by three forward functions to random
+    states of the next layer. Half the last layer are goals. The known
+    states are the root and, in each of ``relay_layers``, the smallest
+    state the root reaches."""
+    rng = random.Random(2014)
+    tables = ({}, {}, {})
+    reached, relays = {0}, []
+    for layer in range(1, layers):
+        base = 1 + (layer - 1) * width
+        for s in sorted(reached):
+            for table in tables:
+                table[s] = base + rng.randrange(width)
+        reached = {table[s] for s in reached for table in tables}
+        if layer in relay_layers:
+            relays.append(min(reached))
+    goals = {s for s in reached if rng.random() < 0.5}
+    return EssmRepresentation(
+        (0, *relays), lambda s: s == 0, goals.__contains__,
+        tuple(lambda s, t=t: frozenset((t[s],)) if s in t else frozenset() for t in tables),
+        successors=lambda s: [(j, t[s]) for j, t in enumerate(tables) if s in t])
 
 
 def oracle_reachable(rep, start):

@@ -2,27 +2,27 @@
 path reconstruction) and the two searches on their shared loop."""
 
 import dataclasses
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import essm_search
 from essm_search import (INF, Edge, EssmRepresentation, ModelError,
                          NodeDatabase, NodeStatus, Outcome, Path,
                          ProblemDefinitionError, SearchInvariantError,
                          SearchLimits, SingleStateSolution, bfs, ebfs, engine,
                          expand, f_update, goal_condition, make_classical,
                          reconstruct_path, seed, select, validate_path)
-from essm_search.nqueens import (KnownState, KnownStateSpec, NQueensState,
-                                 ROLE_FALSE_HEURISTIC, ROLE_INITIAL,
-                                 ROLE_ON_SOLUTION, _attack_table, empty_board,
-                                 false_heuristic_state, nqueens_rep,
-                                 on_solution_state)
+from essm_search.nqueens import NQueensState, empty_board
 
 from helpers import (graph_rep, oracle_reachable, oracle_solution_depth,
-                     oracle_stored_distances, scan_select)
+                     oracle_stored_distances, queens_rep, relay_dag_rep,
+                     scan_select, three_known_rep)
 
 
 def open_node(db, state, distances):
@@ -30,22 +30,6 @@ def open_node(db, state, distances):
     i = db.add(state, distances)
     db.mark_open(i)
     return i
-
-
-def queens_rep(n, *extra_depths):
-    entries = [KnownState(empty_board(n), ROLE_INITIAL)]
-    for d in extra_depths:
-        entries.append(KnownState(on_solution_state(n, d), ROLE_ON_SOLUTION))
-    return nqueens_rep(n, KnownStateSpec(tuple(entries)))
-
-
-def three_known_rep(n, depth):
-    """The empty board, a solution prefix and its false-heuristic state."""
-    prefix = on_solution_state(n, depth)
-    return nqueens_rep(n, KnownStateSpec((
-        KnownState(empty_board(n), ROLE_INITIAL),
-        KnownState(prefix, ROLE_ON_SOLUTION),
-        KnownState(false_heuristic_state(n, prefix), ROLE_FALSE_HEURISTIC))))
 
 
 def closed_chain(length):
@@ -347,7 +331,8 @@ def test_expand_links_each_parent_once_in_link_order():
     assert db.duplicate_hits == 1
     assert zero.f_children == (mid,)
     assert mid.parent_ops == {zero: 0}
-    expand(db, two.order, rep)
+    assert mid.f_parents == (zero,)
+    expand(db, two.order, rep)  # the view sees the link made after the read
     assert db.duplicate_hits == 2
     assert mid.f_parents == (zero, two)
     assert mid.parent_ops == {zero: 0, two: 0}
@@ -627,6 +612,32 @@ def test_reconstruct_walks_earliest_parent_on_ties():
     assert [e.op.index for e in path.edges] == [1, 1]
 
 
+def test_parent_scan_ignores_id_bytes_that_span_two_entries():
+    # node 2's children 256 and 512 lie side by side in the child runs, and
+    # their bytes hold those of id 1 one byte in; node 1, the second seed,
+    # has node 3 for its only parent
+    edges = [(0, s) for s in range(2, 514)] + [(2, 256), (2, 512), (3, 1)]
+    rep, _ = graph_rep(edges, known=[0, 1], initial=[0], goal=[1])
+    result = ebfs(rep)
+    db = result.db
+    assert [db.node_for(s) for s in (0, 1, 2, 3, 256, 512)] == [0, 1, 2, 3, 256, 512]
+    one, three = db.node(1), db.node(3)
+    assert one.f_parents == (three,) and one.parent_ops == {three: 0}
+    assert result.solution.states() == (0, 3, 1)
+    assert [e.op.index for e in result.solution.edges] == [1, 0]
+
+
+def test_searches_never_build_the_view_index(monkeypatch):
+    def refuse(db):
+        raise AssertionError("the search read a view")
+    monkeypatch.setattr(NodeDatabase, "_parent_index", refuse)
+    for search, rep in ((ebfs, three_known_rep(7, 3)), (bfs, queens_rep(7)),
+                        (ebfs, relay_dag_rep())):
+        result = search(rep)
+        assert result.outcome is Outcome.SUCCESS
+        assert validate_path(rep, result.solution)
+
+
 def test_reconstruct_detects_missing_parent_gradient():
     db = NodeDatabase()
     open_node(db, "y", (1,))
@@ -837,41 +848,34 @@ def test_a_wall_time_cap_that_is_not_reached_changes_nothing():
 
 # --- memory -------------------------------------------------------------
 
-def relay_dag_rep(width=600, layers=24, relay_layers=(9, 15, 20)):
-    """An int-state layered DAG: a root, then ``layers - 1`` layers of
-    ``width`` states, each mapped by three forward functions to random
-    states of the next layer. Half the last layer are goals. The known
-    states are the root and, in each of ``relay_layers``, the smallest
-    state the root reaches."""
-    rng = random.Random(2014)
-    tables = ({}, {}, {})
-    reached, relays = {0}, []
-    for layer in range(1, layers):
-        base = 1 + (layer - 1) * width
-        for s in sorted(reached):
-            for table in tables:
-                table[s] = base + rng.randrange(width)
-        reached = {table[s] for s in reached for table in tables}
-        if layer in relay_layers:
-            relays.append(min(reached))
-    goals = {s for s in reached if rng.random() < 0.5}
-    return EssmRepresentation(
-        (0, *relays), lambda s: s == 0, goals.__contains__,
-        tuple(lambda s, t=t: frozenset((t[s],)) if s in t else frozenset() for t in tables),
-        successors=lambda s: [(j, t[s]) for j, t in enumerate(tables) if s in t])
+MEMORY_PROBE = """
+import tracemalloc
+from essm_search import bfs, ebfs
+from essm_search.nqueens import _attack_table
+from helpers import queens_rep, relay_dag_rep, three_known_rep
+search, rep = {case}
+_attack_table(7)  # built once per process; not part of the search
+tracemalloc.start()
+result = search(rep)
+peak = tracemalloc.get_traced_memory()[1]
+print(result.outcome.value, peak / result.stats.nodes_created)
+"""
 
 
-@pytest.mark.parametrize("search, rep, bound", [(bfs, queens_rep(7), 200),
-                                                (ebfs, three_known_rep(7, 3), 320),
-                                                (ebfs, relay_dag_rep(), 200)],
+@pytest.mark.parametrize("case, bound", [("bfs, queens_rep(7)", 160),
+                                         ("ebfs, three_known_rep(7, 3)", 260),
+                                         ("ebfs, relay_dag_rep()", 200)],
                          ids=["bfs", "ebfs3", "relay"])
-def test_search_memory_per_node_stays_small(search, rep, bound):
-    _attack_table(7)  # built once per process; not part of the search
-    tracemalloc.start()
-    try:
-        result = search(rep)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.outcome is Outcome.SUCCESS
-    assert peak / result.stats.nodes_created <= bound
+def test_search_memory_per_node_stays_small(case, bound):
+    # each case in a fresh interpreter: tracemalloc does not count tuples
+    # taken from free lists that earlier work filled, so the figure would
+    # depend on which tests ran before
+    path = os.pathsep.join((os.path.dirname(os.path.dirname(essm_search.__file__)),
+                            os.path.dirname(__file__)))
+    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE.format(case=case)],
+                           env=dict(os.environ, PYTHONPATH=path),
+                           capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    outcome, per_node = probe.stdout.split()
+    assert outcome == Outcome.SUCCESS.value
+    assert float(per_node) <= bound
