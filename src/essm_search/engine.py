@@ -2,14 +2,16 @@
 
 Every discovered state gets exactly one node, identified by an int id that
 is its discovery index and found by the state's key (see the representation's
-codec). A node holds its status, its child links, and a vector with the best
-known distance from each known state (index fixed by the order of
-``known_states``). All known states are seeded as one frontier; when the
-subtree grown from one known state runs into the subtree of another, the
-distance update cascades through the already-closed nodes, so the merged
-subgraph immediately knows how far every node is from every source that
-reaches it. Only child links are stored; parents and operators are derived
-when asked. Nodes with equal vectors share one tuple.
+codec). A node holds its child links and a vector with the best known
+distance from each known state (index fixed by the order of
+``known_states``). It is open until its one expansion gives it a child run
+and closed after, so its status is read from the runs. All known states are
+seeded as one frontier; when the subtree grown from one known state runs
+into the subtree of another, the distance update cascades through the
+already-closed nodes, so the merged subgraph immediately knows how far
+every node is from every source that reaches it. Only child links are
+stored; parents and operators are derived when asked. Nodes with equal
+vectors share one tuple.
 
 The search succeeds as soon as some discovered goal node has a finite
 distance from a known state that satisfies the initial predicate (a live
@@ -50,18 +52,11 @@ INF = math.inf
 
 
 class NodeStatus(Enum):
-    """A node's place in the search. Seeds and discovered nodes are created
-    OPEN and become CLOSED when they expand; only a bare
-    :meth:`NodeDatabase.add` leaves a node UNSET."""
+    """A node's place in the search. Every node is created OPEN and becomes
+    CLOSED when it expands, which is when it gets its child run."""
 
-    UNSET = "unset"
     OPEN = "open"
     CLOSED = "closed"
-
-
-# status codes in NodeDatabase._status, indexes into _STATUSES
-_UNSET, _OPEN, _CLOSED = 0, 1, 2
-_STATUSES = (NodeStatus.UNSET, NodeStatus.OPEN, NodeStatus.CLOSED)
 
 
 class SearchNode:
@@ -93,7 +88,7 @@ class SearchNode:
 
     @property
     def f_status(self) -> NodeStatus:
-        return _STATUSES[self._db._status[self._order]]
+        return NodeStatus.CLOSED if self._db._lo[self._order] else NodeStatus.OPEN
 
     @property
     def f_distance(self) -> tuple:
@@ -142,16 +137,18 @@ class NodeDatabase:
     ``lookup``, ``node_for`` and ``add`` take states.
 
     Position ``i`` of each column belongs to node ``i``: its key, its
-    distance tuple, its status code and, in ``array('i')`` columns, the
-    ``[lo, hi)`` bounds of its children in one flat child-id array. A node's
-    links are all made during its single expansion, so its children are one
-    run of that array, in link order, after the marker ``~i``. A node's
-    parents are the runs that hold its id, in link order, and a link's
-    operator is the first of the parent's walk pairs that yields the child
-    (the walk is pure). Every stored distance vector is the one tuple a dict
-    keeps for its value, so nodes with equal vectors share it. Iterating the
-    database yields read-only :class:`SearchNode` views, whose parent reads
-    build a reverse index of the runs.
+    distance tuple and, in ``array('i')`` columns, the ``[lo, hi)`` bounds
+    of its children in one flat child-id array. A node's links are all made
+    during its single expansion, so its children are one run of that array,
+    in link order, after the marker ``~i``. The marker comes first, so an
+    expanded node has ``lo >= 1``: a node is closed exactly when its ``lo``
+    is set, and the open and closed counts follow from the expansions. A
+    node's parents are the runs that hold its id, in link order, and a
+    link's operator is the first of the parent's walk pairs that yields the
+    child (the walk is pure). Every stored distance vector is the one tuple
+    a dict keeps for its value, so nodes with equal vectors share it.
+    Iterating the database yields read-only :class:`SearchNode` views, whose
+    parent reads build a reverse index of the runs.
 
     Also owns the frontier index behind :func:`select`: a lazy-deletion heap
     of (min distance entry, id), so selection stays cheap while staying
@@ -167,15 +164,12 @@ class NodeDatabase:
         self._ids: dict = {}
         self._keys: list = []
         self._dist: list[tuple] = []
-        self._status = bytearray()
         self._vectors: dict[tuple, tuple] = {}
         self._kids = array("i")
         self._lo = array("i")
         self._hi = array("i")
         self._index: dict[int, list] = {}
         self._indexed = 0  # len(_kids) when _index was built
-        self.open_count = 0
-        self.closed_count = 0
         self.max_open_size = 0
         self.expansions = 0
         self.duplicate_hits = 0
@@ -186,6 +180,16 @@ class NodeDatabase:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    @property
+    def open_count(self) -> int:
+        """Nodes not yet expanded: every node is created open and only its
+        expansion closes it."""
+        return len(self._keys) - self.expansions
+
+    @property
+    def closed_count(self) -> int:
+        return self.expansions
 
     def __iter__(self) -> Iterator[SearchNode]:
         return map(self.node, range(len(self._keys)))
@@ -262,8 +266,9 @@ class NodeDatabase:
         return i
 
     def add(self, state: State, distance: tuple) -> int:
-        """A new unset node with no links for ``state``, which must have a
-        key and no node yet; returns its id."""
+        """A new open node with no links for ``state``, which must have a
+        key and no node yet; returns its id. It enters the frontier through
+        :meth:`mark_open`."""
         key = self._key(state)
         if key is None and self._encode is not None:
             raise ModelError(f"state {state!r} has no key in this representation")
@@ -278,41 +283,26 @@ class NodeDatabase:
         self._ids[key] = i
         self._keys.append(key)
         self._dist.append(self._vectors.setdefault(distance, distance))
-        self._status.append(_UNSET)
         self._lo.append(0)
         self._hi.append(0)
         return i
 
     def mark_open(self, i: int) -> None:
-        """Open node ``i`` (a no-op on an open one) and push its frontier
-        entry. A closed node has had its one expansion and cannot reopen."""
-        status = self._status[i]
-        if status != _OPEN:
-            if status == _CLOSED:
-                raise ModelError(f"node {self._state(i)!r} is closed and cannot reopen")
-            self.open_count += 1
-            if self.open_count > self.max_open_size:
-                self.max_open_size = self.open_count
-            self._status[i] = _OPEN
+        """Push open node ``i``'s frontier entry. A closed node has had its
+        one expansion and cannot reopen."""
+        if self._lo[i]:
+            raise ModelError(f"node {self._state(i)!r} is closed and cannot reopen")
         heapq.heappush(self._frontier, (min(self._dist[i]), i))
 
     def note_distance_change(self, i: int, new: tuple) -> None:
         """Node ``i``'s distances just dropped to ``new``: an open node gets
         a fresh frontier entry under its new key."""
-        if self._status[i] == _OPEN:
+        if not self._lo[i]:
             heapq.heappush(self._frontier, (min(new), i))
-
-    def mark_closed(self, i: int) -> None:
-        status = self._status[i]
-        if status == _OPEN:
-            self.open_count -= 1
-        if status != _CLOSED:
-            self.closed_count += 1
-        self._status[i] = _CLOSED
 
     def open_nodes(self) -> list[SearchNode]:
         """Every open node, in discovery order. Linear scan; audits only."""
-        return [self.node(i) for i, s in enumerate(self._status) if s == _OPEN]
+        return [self.node(i) for i, lo in enumerate(self._lo) if not lo]
 
 
 def _holds(predicate: Callable[[State], bool], name: str, state: State) -> bool:
@@ -337,6 +327,7 @@ def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
         db.mark_open(db.add(s, tuple(0 if j == i else INF for j in range(k))))
         if _holds(rep.goal, "goal", s):
             db._goals.add(i)
+    db.max_open_size = len(db)
     db._live = tuple(live)
     db._goal_reached = any(i in db._goals for i in live)
 
@@ -345,10 +336,10 @@ def select(db: NodeDatabase) -> Optional[int]:
     """The id of the open node whose smallest distance entry is minimal over
     all open nodes, earliest discovered on ties; None when nothing is open."""
     frontier = db._frontier
-    status, dist = db._status, db._dist
+    lo, dist = db._lo, db._dist
     while frontier:
         d, i = frontier[0]
-        if status[i] == _OPEN and min(dist[i]) == d:
+        if not lo[i] and min(dist[i]) == d:
             return i
         heapq.heappop(frontier)  # stale: closed since, or distance dropped
     return None
@@ -374,7 +365,7 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
     made. A change that gives a goal node a finite entry at a live index
     raises the stop flag.
     """
-    dist, status, vectors = db._dist, db._status, db._vectors
+    dist, vectors = db._dist, db._vectors
     kids, lo, hi = db._kids, db._lo, db._hi
     goals, live = db._goals, db._live
     if len(candidate) != len(dist[i]):
@@ -392,7 +383,7 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
             db._goal_reached = True
         if on_change is not None:
             on_change(x, old, new)
-        if status[x] == _CLOSED:
+        if lo[x]:
             plus1 = tuple(d + 1 for d in new)
             work.extend((child, plus1) for child in kids[lo[x]:hi[x]])
 
@@ -410,14 +401,14 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     tuple cannot drop. A successor equal to curr itself just adds a
     self-link. ``on_change`` also fires for each new node, from the
     all-infinite vector to its first one. The goal predicate runs once on
-    each new node, decoded.
+    each new node, decoded. curr reads closed from the moment its run
+    starts, which changes nothing here, since its vector cannot drop.
     """
-    status = db._status
-    if status[curr] != _OPEN:
+    kids, lo, hi = db._kids, db._lo, db._hi
+    if lo[curr]:
         raise ModelError("only open nodes can be expanded")
     frontier = db._frontier
     ids, keys, dist, decode = db._ids, db._keys, db._dist, db._decode
-    kids, lo, hi = db._kids, db._lo, db._hi
     goal, goals, live = rep.goal, db._goals, db._live
     db.expansions += 1
     plus1 = tuple(x + 1 for x in dist[curr])
@@ -433,7 +424,6 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
         if i == n:
             keys.append(k2)
             dist.append(plus1)
-            status.append(_OPEN)
             lo.append(0)
             hi.append(0)
             kids.append(i)
@@ -441,12 +431,7 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
             n += 1
             if on_change is not None:
                 on_change(i, (INF,) * len(plus1), plus1)
-            s2 = k2 if decode is None else decode(k2)
-            try:
-                hit = goal(s2)
-            except Exception as exc:
-                raise ProblemDefinitionError(f"goal predicate failed on {s2!r}") from exc
-            if hit:
+            if _holds(goal, "goal", k2 if decode is None else decode(k2)):
                 goals.add(i)
                 if any(plus1[j] != INF for j in live):
                     db._goal_reached = True
@@ -461,10 +446,8 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
             f_update(db, i, plus1, on_change)
     hi[curr] = len(kids)
     db.duplicate_hits += duplicates
-    db.open_count += n - first
-    if db.open_count > db.max_open_size:
-        db.max_open_size = db.open_count
-    db.mark_closed(curr)
+    if n - db.expansions + 1 > db.max_open_size:  # open nodes, curr not yet closed
+        db.max_open_size = n - db.expansions + 1
 
 
 def goal_condition(db: NodeDatabase) -> bool:
@@ -643,7 +626,7 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
     ``queue``; a known one only counts as a duplicate hit. Every entry is
     finite at the live index 0, so a new goal node raises the stop flag.
     curr's children are the new nodes, so they are one id range."""
-    ids, keys, dist, status = db._ids, db._keys, db._dist, db._status
+    ids, keys, dist = db._ids, db._keys, db._dist
     lo, hi = db._lo, db._hi
     goal, decode = rep.goal, db._decode
     child_dist = (dist[curr][0] + 1,)
@@ -657,16 +640,10 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
             continue
         keys.append(k2)
         dist.append(child_dist)
-        status.append(_OPEN)
         lo.append(0)
         hi.append(0)
         queue.append(n)
-        s2 = k2 if decode is None else decode(k2)
-        try:
-            hit = goal(s2)
-        except Exception as exc:
-            raise ProblemDefinitionError(f"goal predicate failed on {s2!r}") from exc
-        if hit:
+        if _holds(goal, "goal", k2 if decode is None else decode(k2)):
             db._goals.add(n)
             db._goal_reached = True
         n += 1
@@ -676,10 +653,8 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
     kids.extend(range(first, n))
     hi[curr] = len(kids)
     db.duplicate_hits += duplicates
-    db.open_count += n - first
-    if db.open_count > db.max_open_size:
-        db.max_open_size = db.open_count
-    db.mark_closed(curr)
+    if n - db.expansions + 1 > db.max_open_size:  # open nodes, curr not yet closed
+        db.max_open_size = n - db.expansions + 1
 
 
 def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
@@ -702,11 +677,10 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
     queue = deque(db.add(s, (0,)) for s in rep.known_states
                   if _holds(rep.initial, "initial", s))
     for i in queue:
-        db._status[i] = _OPEN
         if _holds(rep.goal, "goal", db._state(i)):
             db._goals.add(i)
             db._goal_reached = True
-    db.open_count = db.max_open_size = len(queue)
+    db.max_open_size = len(queue)
     db._live = (0,)
     return _drive(db, lambda: queue.popleft() if queue else None,
                   partial(_grow_tree, db, rep, queue), limits, trace)

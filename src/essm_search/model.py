@@ -309,18 +309,7 @@ def classify(rep: EssmRepresentation, space: FiniteSpace) -> ClassificationRepor
             raise ClassificationError(f"known state {ks!r} is missing from the space")
 
     f_per_fn, max_fanout = _edge_sets(rep.forward_fns, states, members, FORWARD)
-    # swap src/dst bookkeeping: for backward fns we record (state-that-reaches, state)
-    b_per_fn = []
-    for fn_index, fn in enumerate(rep.backward_fns):
-        edges = set()
-        for t in states:
-            for s in fn(t):
-                if s not in members:
-                    raise ClassificationError(
-                        f"space is not closed: backward function {fn_index} "
-                        f"maps {t!r} to {s!r}, which is outside the space")
-                edges.add((s, t))
-        b_per_fn.append(edges)
+    b_per_fn, _ = _edge_sets(rep.backward_fns, states, members, BACKWARD)
 
     forward_edges = set().union(*f_per_fn) if f_per_fn else set()
     backward_edges = set().union(*b_per_fn) if b_per_fn else set()

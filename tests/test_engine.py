@@ -46,10 +46,11 @@ def closed_chain(length):
 
 # --- nodes and the database ---------------------------------------------
 
-def test_added_node_starts_unset_and_unlinked():
+def test_added_node_starts_open_and_unlinked():
     db = NodeDatabase()
     node = db.node(db.add("s", (INF, INF, INF)))
-    assert node.f_status is NodeStatus.UNSET
+    assert node.f_status is NodeStatus.OPEN
+    assert (db.open_count, db.closed_count) == (1, 0)
     assert node.f_distance == (INF, INF, INF)
     assert node.b_distance == (INF, INF, INF)
     assert node.min_distance() == INF
@@ -95,11 +96,13 @@ def test_database_assigns_discovery_order_and_rejects_repeats():
 
 
 def test_mark_open_refuses_a_closed_node():
+    rep, _ = graph_rep([], known=["a"], initial=[], goal=[])
     db = NodeDatabase()
-    a = open_node(db, "a", (0,))
+    seed(db, rep)
+    a = db.node_for("a")
     db.mark_open(a)
     assert db.open_count == 1
-    db.mark_closed(a)
+    expand(db, a, rep)
     with pytest.raises(ModelError, match="closed"):
         db.mark_open(a)
     assert db.node(a).f_status is NodeStatus.CLOSED
@@ -181,13 +184,16 @@ def test_select_breaks_ties_by_discovery_order():
 
 
 def test_select_skips_closed_and_returns_none_when_drained():
+    rep, _ = graph_rep([], known=["a", "b"], initial=[], goal=[])
     db = NodeDatabase()
-    a = open_node(db, "a", (0,))
-    b = open_node(db, "b", (1,))
-    db.mark_closed(a)
+    seed(db, rep)
+    a, b = db.node_for("a"), db.node_for("b")
+    assert select(db) == a
+    expand(db, a, rep)
     assert select(db) == b
-    db.mark_closed(b)
+    expand(db, b, rep)
     assert select(db) is None
+    assert (db.open_count, db.closed_count) == (0, 2)
 
 
 def test_select_sees_distance_drops():
@@ -773,6 +779,20 @@ def test_ebfs_runs_are_deterministic():
     assert first.solution == second.solution
     assert len(first_events) > first.stats.nodes_created
     assert first_events == second_events
+
+
+@pytest.mark.parametrize("search, rep, seeds, peak", [
+    (bfs, queens_rep(7), 1, 7234),
+    (ebfs, three_known_rep(7, 4), 3, 3668),
+    (ebfs, relay_dag_rep(), 4, 1780),
+])
+def test_max_open_size_is_the_peak_of_the_traced_open_counts(search, rep, seeds, peak):
+    # a step's record counts the open nodes after its node closed, so the
+    # open set peaked one higher within the step
+    records = []
+    result = search(rep, trace=records.append)
+    assert result.stats.max_open_size == max(seeds, max(r.open_count + 1 for r in records))
+    assert result.stats.max_open_size == peak
 
 
 def test_stats_are_internally_consistent():

@@ -166,6 +166,15 @@ def test_classify_escaping_state_is_named():
         classify(rep, FiniteSpace((0, 1)))
 
 
+def test_classify_escaping_backward_state_is_named():
+    f = lambda s: frozenset((1,)) if s == 0 else frozenset()
+    b = lambda s: frozenset((99,)) if s == 1 else frozenset()
+    rep = EssmRepresentation((0,), lambda s: s == 0, lambda s: False, (f,), (b,))
+    with pytest.raises(ClassificationError,
+                       match="space is not closed: backward function 0 maps 1 to 99, "):
+        classify(rep, FiniteSpace((0, 1)))
+
+
 def test_classify_requires_known_states_in_space():
     f = lambda s: frozenset()
     rep = EssmRepresentation((7,), lambda s: False, lambda s: False, (f,))
