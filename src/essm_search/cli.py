@@ -25,7 +25,8 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence
 
 from .engine import (Outcome, SearchLimits, SearchResult, TraceRecord, bfs,
                      ebfs)
@@ -219,11 +220,9 @@ def _audit_solution(plan: _Plan, result: SearchResult) -> None:
         raise ModelError(f"internal error: invalid solution for n={plan.n} {plan.algorithm}")
 
 
-def _trace_writer(plan: _Plan, sink) -> Callable[[TraceRecord], None]:
-    def write(rec: TraceRecord) -> None:
-        print(f"{rec.step},{format_state(rec.state)},{rec.min_distance},"
-              f"{rec.open_count},{rec.nodes_created}", file=sink)
-    return write
+def _write_trace(sink, rec: TraceRecord) -> None:
+    print(f"{rec.step},{format_state(rec.state)},{rec.min_distance},"
+          f"{rec.open_count},{rec.nodes_created}", file=sink)
 
 
 def run_experiment(config: ExperimentConfig, *, trace_sink=None,
@@ -251,7 +250,7 @@ def run_experiment(config: ExperimentConfig, *, trace_sink=None,
         if config.trace:
             print(f"# trace problem={PROBLEM} n={plan.n} "
                   f"algorithm={plan.algorithm} seeding={plan.seeding}", file=trace_sink)
-            tracer = _trace_writer(plan, trace_sink)
+            tracer = partial(_write_trace, trace_sink)
         run = ebfs if plan.algorithm == "ebfs" else bfs
         started = time.perf_counter()
         result = run(plan.rep, limits=limits, trace=tracer)

@@ -10,8 +10,8 @@ seeded as one frontier; when the subtree grown from one known state runs
 into the subtree of another, the distance update cascades through the
 already-closed nodes, so the merged subgraph immediately knows how far
 every node is from every source that reaches it. Only child links are
-stored; parents and operators are derived when asked. Nodes with equal
-vectors share one tuple.
+stored: parents are derived from them, operators from ``forward_fns``.
+Nodes with equal vectors share one tuple.
 
 The search succeeds as soon as some discovered goal node has a finite
 distance from a known state that satisfies the initial predicate (a live
@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Optional
 
 from .errors import ModelError, ProblemDefinitionError, SearchInvariantError
 from .model import (FORWARD, Edge, EssmRepresentation, OpRef, Path,
-                    SingleStateSolution, State)
+                    SingleStateSolution, State, _images)
 
 INF = math.inf
 
@@ -132,8 +132,8 @@ class NodeDatabase:
     """Columnar store of search nodes, indexed by int id in discovery order.
 
     Nodes are keyed by the representation's ``encode`` (the state itself
-    without a codec); the database takes the codec and the walk when it is
-    seeded, and decodes only for views, traces, solutions and messages.
+    without a codec); seeding hands the database the codec and the forward
+    functions, and it decodes only for views, traces, solutions, messages.
     ``lookup``, ``node_for`` and ``add`` take states.
 
     Position ``i`` of each column belongs to node ``i``: its key, its
@@ -144,8 +144,8 @@ class NodeDatabase:
     expanded node has ``lo >= 1``: a node is closed exactly when its ``lo``
     is set, and the open and closed counts follow from the expansions. A
     node's parents are the runs that hold its id, in link order, and a
-    link's operator is the first of the parent's walk pairs that yields the
-    child (the walk is pure). Every stored distance vector is the one tuple
+    link's operator is the first forward function whose image of the
+    parent holds the child. Every stored distance vector is the one tuple
     a dict keeps for its value, so nodes with equal vectors share it.
     Iterating the database yields read-only :class:`SearchNode` views, whose
     parent reads build a reverse index of the runs.
@@ -160,7 +160,7 @@ class NodeDatabase:
     def __init__(self):
         self._encode: Optional[Callable] = None
         self._decode: Optional[Callable] = None
-        self._walk: Optional[Callable] = None
+        self._fns: tuple = ()
         self._ids: dict = {}
         self._keys: list = []
         self._dist: list[tuple] = []
@@ -199,10 +199,10 @@ class NodeDatabase:
         return SearchNode(self, i)
 
     def _use_rep(self, rep: EssmRepresentation) -> None:
-        """Take ``rep``'s codec and walk; only an empty database may."""
+        """Take ``rep``'s codec and operators; only an empty database may."""
         if len(self):
             raise ModelError("seeding requires an empty database")
-        self._encode, self._decode, self._walk = rep.encode, rep.decode, rep.walk
+        self._encode, self._decode, self._fns = rep.encode, rep.decode, rep.forward_fns
 
     def _key(self, state: State):
         return state if self._encode is None else self._encode(state)
@@ -247,13 +247,14 @@ class NodeDatabase:
         return self._index
 
     def _link_op(self, p: int, i: int) -> int:
-        """The operator of the link from ``p`` to ``i``."""
-        key = self._keys[i]
-        for op, k in self._walk(self._keys[p]):
-            if k == key:
+        """The operator of the link from ``p`` to ``i``: the first forward
+        function whose image of ``p``'s state encodes to ``i``'s key."""
+        key, encode = self._keys[i], self._key
+        for op, image in enumerate(_images(self._fns, self._state(p))):
+            if any(encode(t) == key for t in image):
                 return op
         raise SearchInvariantError(
-            f"{self._state(p)!r} no longer yields its child {self._state(i)!r}")
+            f"no forward function maps {self._state(p)!r} to its child {self._state(i)!r}")
 
     def lookup(self, state: State) -> Optional[int]:
         """The id of ``state``'s node; None when it has none."""
@@ -317,7 +318,7 @@ def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
     """Insert one open node per known state, in order, with distance zero to
     itself and infinity elsewhere. ``initial`` runs once per known state and
     fixes the live indexes; ``goal`` runs once per seed. The database takes
-    the representation's codec and walk."""
+    the representation's codec and forward functions."""
     db._use_rep(rep)
     k = rep.k_count
     live = []
@@ -419,7 +420,7 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     first = n = len(keys)
     duplicates = 0
     linked = set()  # nodes older than this expansion that curr has linked
-    for _, k2 in rep.walk(keys[curr]):
+    for k2 in rep.walk(keys[curr]):
         i = ids.setdefault(k2, n)
         if i == n:
             keys.append(k2)
@@ -634,7 +635,7 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
     db.expansions += 1
     first = n = len(keys)
     duplicates = 0
-    for _, k2 in rep.walk(keys[curr]):
+    for k2 in rep.walk(keys[curr]):
         if ids.setdefault(k2, n) != n:
             duplicates += 1
             continue

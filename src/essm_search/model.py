@@ -23,7 +23,7 @@ State = Any
 Key = Any
 
 SuccessorFn = Callable[[State], "frozenset[State]"]
-SuccessorWalk = Callable[[Key], "Iterable[tuple[int, Key]]"]
+SuccessorWalk = Callable[[Key], "Iterable[Key]"]
 Predicate = Callable[[State], bool]
 
 FORWARD = "forward"
@@ -88,33 +88,33 @@ class SingleStateSolution:
     state: State
 
 
+def _images(fns: tuple, state: State) -> Iterable:
+    """Each function's image of ``state``, in order; an exception surfaces
+    as ProblemDefinitionError naming the function and the state."""
+    for i, f in enumerate(fns):
+        try:
+            image = f(state)
+        except Exception as exc:
+            raise ProblemDefinitionError(f"forward function {i} failed on {state!r}") from exc
+        yield image
+
+
 def _walk(hook: Optional[SuccessorWalk], fns: tuple, encode: Optional[Callable],
           decode: Optional[Callable]) -> Callable[[Key], list]:
-    """The walk the engine calls, from a key to (function index, key)
-    pairs: ``hook`` when given, else one over ``fns`` that decodes the key
-    and encodes the successors. Without a codec a key is the state itself."""
-    if hook is not None:
-        def walk(key: Key) -> list:
-            try:
-                return list(hook(key))
-            except Exception as exc:
-                state = key if decode is None else decode(key)
-                raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
-        return walk
+    """The engine's walk from a key to its successor keys: ``hook`` when
+    given, else ``fns`` on the decoded key, encoded (no codec: key = state)."""
+    if hook is None and encode is None:
+        return lambda state: [t for image in _images(fns, state) for t in image]
+    if hook is None:
+        return lambda key: [encode(t) for image in _images(fns, decode(key)) for t in image]
 
-    def derived(state: State) -> list:
-        pairs = []
-        for i, f in enumerate(fns):
-            try:
-                pairs.extend((i, t) for t in f(state))
-            except Exception as exc:
-                raise ProblemDefinitionError(
-                    f"forward function {i} failed on {state!r}") from exc
-        return pairs
-
-    if encode is None:
-        return derived
-    return lambda key: [(i, encode(t)) for i, t in derived(decode(key))]
+    def walk(key: Key) -> list:
+        try:
+            return list(hook(key))
+        except Exception as exc:
+            state = key if decode is None else decode(key)
+            raise ProblemDefinitionError(f"successors failed on {state!r}") from exc
+    return walk
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,15 @@ class EssmRepresentation:
     it: predicates, views, traces and solutions.
 
     ``successors`` is an optional faster route to the forward family: given
-    a key it returns the (function index, successor key) pairs of
-    ``[(i, encode(t)) for i, f in enumerate(forward_fns) for t in f(decode(key))]``,
-    in that order (without a codec, keys are states). Every construction
+    a key it returns the successor keys
+    ``[encode(t) for f in forward_fns for t in f(decode(key))]``, in that
+    order (without a codec, keys are states). Every construction
     (``dataclasses.replace`` too) derives ``walk``, which the engine calls
     once per expansion, from that hook when it is set and from
-    ``forward_fns`` otherwise; it returns the pairs as a list and raises
+    ``forward_fns`` otherwise; it returns the keys as a list and raises
     ProblemDefinitionError naming what failed on which decoded state.
-    ``forward_fns`` stay the reference that :func:`validate_path` and
-    :func:`classify` use.
+    Operators come from ``forward_fns`` alone, as do :func:`validate_path`
+    and :func:`classify`: a link's is the first one that yields the child.
     """
 
     known_states: tuple[State, ...]
@@ -174,7 +174,7 @@ class EssmRepresentation:
             if not callable(self.successors):
                 raise ModelError("successors must be callable or None")
             if not self.forward_fns:
-                raise ModelError("successors needs the forward functions it indexes")
+                raise ModelError("successors needs the forward functions it stands for")
         if (self.encode is None) != (self.decode is None):
             raise ModelError("encode and decode go together: give both or neither")
         if self.encode is not None and not (callable(self.encode) and callable(self.decode)):

@@ -8,11 +8,11 @@ is a directed acyclic graph layered by queen count, and one placement can
 reach another exactly when it is a subset of it.
 
 The engine keys states by their mask. The representation's ``successors``
-walk maps a mask to the masks of all its placements in a single pass over
-its free squares, using the bit-pattern technique (Richards 1997,
+hook maps a mask to its children's masks, ascending by square, in a single
+pass over its free squares, using the bit-pattern technique (Richards 1997,
 "Backtracking algorithms in MCPL using bit patterns and recursion"): a
 per-size table gives, for each square, the mask of squares a queen there
-occupies or attacks.
+occupies or attacks. A link's operator is the square it places a queen on.
 
 Serialized form: ``<n> ":" [ <r> "," <c> ( ";" <r> "," <c> )* ]`` with
 decimal integers and no whitespace, coordinate pairs sorted ascending.
@@ -174,7 +174,7 @@ def format_state(state: NQueensState) -> str:
 
 def _parse_int(text: str, pos: int, what: str) -> tuple[int, int]:
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise StateParseError(f"expected {what}", start)
@@ -270,9 +270,9 @@ def _placement_fn(n: int, sq: int):
 
 
 def _successor_walk(n: int):
-    """Every (square, child mask) placement of a mask, ascending by square:
-    the pairs the per-square placement functions give, in their index
-    order, as keys. The attack table is bound on the first walk."""
+    """The child mask of every placement on a mask, ascending by square:
+    what the per-square placement functions give, in their index order, as
+    keys. The attack table is bound on the first walk."""
     attack = None
     board = (1 << (n * n)) - 1
 
@@ -284,7 +284,7 @@ def _successor_walk(n: int):
         out = []
         while free:
             low = free & -free
-            out.append((low.bit_length() - 1, mask | low))
+            out.append(mask | low)
             free ^= low
         return out
 

@@ -96,7 +96,7 @@ def relay_dag_rep(width=600, layers=24, relay_layers=(9, 15, 20)):
     return EssmRepresentation(
         (0, *relays), lambda s: s == 0, goals.__contains__,
         tuple(lambda s, t=t: frozenset((t[s],)) if s in t else frozenset() for t in tables),
-        successors=lambda s: [(j, t[s]) for j, t in enumerate(tables) if s in t])
+        successors=lambda s: [t[s] for t in tables if s in t])
 
 
 def oracle_reachable(rep, start):

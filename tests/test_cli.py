@@ -122,6 +122,7 @@ def test_explicit_known_state_spec():
     ("5:0,0",),                        # wrong board size for n=4
     ("4:9,9",),                        # unparseable placement
     ("4:0,0;1,1",),                    # attacking known state
+    ("4:\u00b2,0",),                   # a superscript two is not a digit
 ])
 def test_bad_known_specs_are_config_errors(specs):
     with pytest.raises(ConfigError):

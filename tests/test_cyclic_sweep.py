@@ -74,10 +74,10 @@ def representation(known, initial, goals, tables, hook, keyed=False):
                 for table in tables)
 
     def walk(s):
-        return [(j, table[s]) for j, table in enumerate(tables) if s in table]
+        return [table[s] for table in tables if s in table]
 
     def key_walk(key):
-        return [(j, str(t)) for j, t in walk(int(key))]
+        return [str(t) for t in walk(int(key))]
 
     if keyed:
         return EssmRepresentation(tuple(known), initial.__contains__, goals.__contains__,

@@ -405,7 +405,7 @@ def test_expand_wraps_successor_walk_failures():
         raise ValueError("no")
 
     def lazy_boom(s):
-        yield 0, 1
+        yield 1
         raise ValueError("no")
 
     for walk in (boom, lazy_boom):
@@ -417,6 +417,42 @@ def test_expand_wraps_successor_walk_failures():
             expand(db, db.node_for(0), rep)
         with pytest.raises(ProblemDefinitionError, match="successors"):
             bfs(rep)
+
+
+def test_a_hook_link_that_no_forward_function_makes_has_no_operator():
+    # the hook adds a link root -> rogue that the forward functions lack
+    step = (lambda s: frozenset(("a",)) if s == "root" else frozenset(),)
+    rep = EssmRepresentation(("root",), lambda s: s == "root", lambda s: s == "rogue",
+                             step, successors=lambda s: ["a", "rogue"] if s == "root" else [])
+    db = NodeDatabase()
+    seed(db, rep)
+    expand(db, db.node_for("root"), rep)
+    assert goal_condition(db)
+    assert db.node(db.node_for("a")).parent_ops == {db.node(0): 0}
+    with pytest.raises(SearchInvariantError, match="maps 'root' to its child 'rogue'"):
+        reconstruct_path(db, db.node_for("rogue"), 0)
+    for search in (ebfs, bfs):
+        with pytest.raises(SearchInvariantError, match="'root'"):
+            search(rep)
+
+
+def test_a_forward_function_failing_on_an_operator_read_is_named():
+    # with a hook the search never calls the forward functions; only the
+    # operator of a link does, in order, so function 0 fails first
+    def boom(s):
+        raise ValueError("no")
+
+    step = lambda s: frozenset((s + 1,)) if s < 2 else frozenset()
+    rep = EssmRepresentation((0,), lambda s: s == 0, lambda s: s == 1, (boom, step),
+                             successors=lambda s: list(step(s)))
+    for search in (ebfs, bfs):
+        with pytest.raises(ProblemDefinitionError, match="forward function 0 failed on 0"):
+            search(rep)
+    db = NodeDatabase()
+    seed(db, rep)
+    expand(db, 0, rep)
+    with pytest.raises(ProblemDefinitionError, match="forward function 0 failed on 0"):
+        db.node(1).parent_ops
 
 
 @pytest.mark.parametrize("search", [ebfs, bfs])
@@ -441,7 +477,7 @@ def test_predicate_failures_are_problem_definition_errors(search):
 def derived_successors(rep):
     """``rep`` with a successor walk built from its forward functions."""
     def walk(s):
-        return [(i, t) for i, f in enumerate(rep.forward_fns) for t in f(s)]
+        return [t for f in rep.forward_fns for t in f(s)]
     return dataclasses.replace(rep, successors=walk)
 
 
@@ -451,7 +487,7 @@ def keyed_variants(rep):
     keyed = dataclasses.replace(rep, encode=str, decode=int)
 
     def walk(key):
-        return [(i, str(t)) for i, f in enumerate(rep.forward_fns) for t in f(int(key))]
+        return [str(t) for f in rep.forward_fns for t in f(int(key))]
     return keyed, dataclasses.replace(keyed, successors=walk)
 
 
@@ -498,7 +534,7 @@ def test_a_replaced_representation_searches_with_its_new_functions(search):
     rep = EssmRepresentation((0,), lambda s: s == 0, lambda s: False, (step,))
     replaced = dataclasses.replace(rep, forward_fns=(leap,))
     assert [n.state for n in search(replaced).db] == [0, 2, 4, 6]
-    hooked = dataclasses.replace(rep, successors=lambda s: [(0, t) for t in step(s)])
+    hooked = dataclasses.replace(rep, successors=lambda s: list(step(s)))
     assert [n.state for n in search(dataclasses.replace(hooked, forward_fns=(leap,))).db] \
         == [0, 1, 2, 3, 4, 5, 6]
 

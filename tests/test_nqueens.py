@@ -129,6 +129,9 @@ def test_round_trip_over_every_reachable_state():
     ("4:5,0", 2),       # off the board
     ("4:0,0;0,0", 6),   # duplicate pair
     ("4:1,0;0,0", 6),   # not ascending
+    ("4:\u00b2,0", 2),  # only ASCII digits: not a superscript two
+    ("4:\u0663,0", 2),  # nor an Arabic-Indic three
+    ("\u00b2:", 0),     # nor a superscript board size
 ])
 def test_parse_rejects_defects_with_positions(text, position):
     with pytest.raises(StateParseError) as err:
@@ -225,11 +228,11 @@ def test_rep_operators_refuse_occupied_and_attacked_squares():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_successor_walk_matches_the_placement_functions(n):
-    # the hook works on keys: decoded, its pairs are the placement functions'
+    # the hook works on keys: they are the placement functions' children's
     rep = nqueens_rep(n, single_known(n))
     for s in enumerate_states(n):
-        assert [(i, rep.decode(k)) for i, k in rep.successors(rep.encode(s))] == [
-            (i, t) for i, f in enumerate(rep.forward_fns) for t in f(s)]
+        assert rep.successors(rep.encode(s)) == [
+            rep.encode(t) for f in rep.forward_fns for t in f(s)]
         assert rep.walk(rep.encode(s)) == list(rep.successors(rep.encode(s)))
     # a board of another size has no key, so no walk ever reaches it
     other = empty_board(n + 1)
@@ -255,7 +258,10 @@ def test_trusted_children_equal_their_public_twins():
     for n in range(1, 6):
         rep = nqueens_rep(n, single_known(n))
         for s in enumerate_states(n):
-            for sq, key in rep.successors(rep.encode(s)):
+            keys = rep.successors(rep.encode(s))
+            squares = [sq for sq, f in enumerate(rep.forward_fns) if f(s)]
+            assert len(keys) == len(squares)
+            for sq, key in zip(squares, keys):
                 child = rep.decode(key)
                 r, c = divmod(sq, n)
                 twin = NQueensState(n, s.queens + ((r, c),))
