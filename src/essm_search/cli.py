@@ -34,8 +34,9 @@ from .errors import ConfigError, ModelError, StateParseError
 from .model import EssmRepresentation, SingleStateSolution, validate_path
 from .nqueens import (KnownState, KnownStateSpec, ROLE_EXPLICIT,
                       ROLE_FALSE_HEURISTIC, ROLE_INITIAL, ROLE_ON_SOLUTION,
-                      empty_board, false_heuristic_state, format_state,
-                      nqueens_rep, on_solution_state, parse_state)
+                      _parse_int, empty_board, false_heuristic_state,
+                      format_state, nqueens_rep, on_solution_state,
+                      parse_state)
 
 PROBLEM = "nqueens"
 
@@ -102,16 +103,25 @@ class ExperimentReport:
     millis: float
 
 
+def _digits(text: str) -> int:
+    """``text`` as an int when it is ASCII digits alone, by the state
+    parser's rule; ValueError for anything else ``int`` would take: other
+    scripts' digits, ``_``, signs and padding."""
+    value, end = _parse_int(text, 0, "a number")
+    if end != len(text):
+        raise ValueError(f"{text!r} is not a number")
+    return value
+
+
 def parse_n_values(text: str) -> tuple[int, ...]:
     """Sizes as a single int, an inclusive a..b range, or a comma list of
-    both: ``6``, ``5..8``, ``4,6..7``."""
+    both, in ASCII digits without spaces: ``6``, ``5..8``, ``4,6..7``."""
     out: list[int] = []
     for part in text.split(","):
-        part = part.strip()
         if ".." in part:
             lo_text, _, hi_text = part.partition("..")
             try:
-                lo, hi = int(lo_text), int(hi_text)
+                lo, hi = _digits(lo_text), _digits(hi_text)
             except ValueError:
                 raise ConfigError(f"bad size range {part!r}")
             if lo > hi:
@@ -119,7 +129,7 @@ def parse_n_values(text: str) -> tuple[int, ...]:
             out.extend(range(lo, hi + 1))
         else:
             try:
-                out.append(int(part))
+                out.append(_digits(part))
             except ValueError:
                 raise ConfigError(f"bad board size {part!r}")
     return tuple(out)
@@ -136,7 +146,7 @@ def _resolve_known(n: int, known_specs: Sequence[str]) -> tuple[KnownStateSpec, 
             if ":" in spec:
                 depth_text = spec.split(":", 1)[1]
                 try:
-                    depth = int(depth_text)
+                    depth = _digits(depth_text)
                 except ValueError:
                     raise ConfigError(f"bad solution-prefix depth {depth_text!r}")
             else:

@@ -22,8 +22,9 @@ a goal's entry at a live index becomes finite, for a new node or inside
 :func:`f_update`, so the stop test does no per-goal work. Running out of
 open nodes is failure; caps produce the distinct resource_limit outcome.
 
-:func:`ebfs` and :func:`bfs` run one driver loop with different policies.
-Only forward functions are followed, through the representation's ``walk``.
+:func:`ebfs` and :func:`bfs` run one driver loop, which expands nodes in id
+order, with different growth policies. Only forward functions are followed,
+through the representation's ``walk``.
 
 A node database belongs to one search on one thread. Searches over the same
 representation may run concurrently as long as each has its own database,
@@ -32,7 +33,6 @@ which both entry points (:func:`ebfs`, :func:`bfs`) create for themselves.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 import time
@@ -148,13 +148,8 @@ class NodeDatabase:
     parent holds the child. Every stored distance vector is the one tuple
     a dict keeps for its value, so nodes with equal vectors share it.
     Iterating the database yields read-only :class:`SearchNode` views, whose
-    parent reads build a reverse index of the runs.
-
-    Also owns the frontier index behind :func:`select`: a lazy-deletion heap
-    of (min distance entry, id), so selection stays cheap while staying
-    exactly "smallest min-entry, earliest discovered on ties". Every change
-    of an open node's distances pushes a fresh entry. It also holds the
-    live indexes, the ids of goal nodes and the stop flag.
+    parent reads build a reverse index of the runs. The database also holds
+    the live indexes, the ids of goal nodes and the stop flag.
     """
 
     def __init__(self):
@@ -173,7 +168,6 @@ class NodeDatabase:
         self.max_open_size = 0
         self.expansions = 0
         self.duplicate_hits = 0
-        self._frontier: list = []
         self._live: tuple = ()
         self._goals: set[int] = set()
         self._goal_reached = False
@@ -268,8 +262,7 @@ class NodeDatabase:
 
     def add(self, state: State, distance: tuple) -> int:
         """A new open node with no links for ``state``, which must have a
-        key and no node yet; returns its id. It enters the frontier through
-        :meth:`mark_open`."""
+        key and no node yet; returns its id."""
         key = self._key(state)
         if key is None and self._encode is not None:
             raise ModelError(f"state {state!r} has no key in this representation")
@@ -288,18 +281,10 @@ class NodeDatabase:
         self._hi.append(0)
         return i
 
-    def mark_open(self, i: int) -> None:
-        """Push open node ``i``'s frontier entry. A closed node has had its
-        one expansion and cannot reopen."""
-        if self._lo[i]:
-            raise ModelError(f"node {self._state(i)!r} is closed and cannot reopen")
-        heapq.heappush(self._frontier, (min(self._dist[i]), i))
-
     def note_distance_change(self, i: int, new: tuple) -> None:
-        """Node ``i``'s distances just dropped to ``new``: an open node gets
-        a fresh frontier entry under its new key."""
-        if not self._lo[i]:
-            heapq.heappush(self._frontier, (min(new), i))
+        """Node ``i``'s distances just dropped to ``new``: store the one
+        tuple kept for that vector."""
+        self._dist[i] = self._vectors.setdefault(new, new)
 
     def open_nodes(self) -> list[SearchNode]:
         """Every open node, in discovery order. Linear scan; audits only."""
@@ -325,7 +310,7 @@ def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
     for i, s in enumerate(rep.known_states):
         if _holds(rep.initial, "initial", s):
             live.append(i)
-        db.mark_open(db.add(s, tuple(0 if j == i else INF for j in range(k))))
+        db.add(s, tuple(0 if j == i else INF for j in range(k)))
         if _holds(rep.goal, "goal", s):
             db._goals.add(i)
     db.max_open_size = len(db)
@@ -335,15 +320,12 @@ def seed(db: NodeDatabase, rep: EssmRepresentation) -> None:
 
 def select(db: NodeDatabase) -> Optional[int]:
     """The id of the open node whose smallest distance entry is minimal over
-    all open nodes, earliest discovered on ties; None when nothing is open."""
-    frontier = db._frontier
-    lo, dist = db._lo, db._dist
-    while frontier:
-        d, i = frontier[0]
-        if not lo[i] and min(dist[i]) == d:
-            return i
-        heapq.heappop(frontier)  # stale: closed since, or distance dropped
-    return None
+    all open nodes, earliest discovered on ties; None when nothing is open.
+    A linear scan for step-by-step callers: the searches expand in id order
+    (see :func:`_drive`) and never call it."""
+    dist = db._dist
+    return min((i for i, lo in enumerate(db._lo) if not lo),
+               key=lambda i: min(dist[i]), default=None)
 
 
 OnChange = Callable[[int, tuple, tuple], None]
@@ -354,11 +336,10 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
     """Componentwise relaxation of node ``i`` against ``candidate``, a
     parent's distances plus one: each entry becomes min(own, candidate).
 
-    Every change goes through :meth:`NodeDatabase.note_distance_change`,
-    which re-keys an open node in the frontier; a change on a closed node
-    also relaxes each of its children, in link order, against its new
-    distances plus one, so better distances flow through every
-    already-explored subtree they can improve. Entries never increase, and
+    Every change is stored through :meth:`NodeDatabase.note_distance_change`;
+    a change on a closed node also relaxes each of its children, in link
+    order, against its new distances plus one, so better distances flow
+    through every already-explored subtree they can improve. Entries never increase, and
     every relaxation lowers some finite entry, which bounds the total work.
     A first-in first-out worklist replaces the natural recursion so long
     chains cannot overflow the stack. ``on_change(id, old, new)`` fires for
@@ -366,7 +347,7 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
     made. A change that gives a goal node a finite entry at a live index
     raises the stop flag.
     """
-    dist, vectors = db._dist, db._vectors
+    dist = db._dist
     kids, lo, hi = db._kids, db._lo, db._hi
     goals, live = db._goals, db._live
     if len(candidate) != len(dist[i]):
@@ -378,7 +359,6 @@ def f_update(db: NodeDatabase, i: int, candidate: tuple,
         new = tuple(map(min, old, cand))
         if new == old:
             continue
-        dist[x] = new = vectors.setdefault(new, new)
         db.note_distance_change(x, new)
         if x in goals and any(new[j] != INF for j in live):
             db._goal_reached = True
@@ -396,10 +376,9 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     curr's distances plus one are computed once: curr's own vector cannot
     drop while it expands, since every change made here is curr's
     distances plus at least one. Unknown successors are created open with
-    that vector and enter the frontier once, already final. Known ones are
-    linked once each and relaxed against the same vector; only a real drop
-    runs :func:`f_update`, and a successor whose stored vector is that very
-    tuple cannot drop. A successor equal to curr itself just adds a
+    that vector, already final. Known ones are linked once each and relaxed
+    against the same vector; only a real drop runs :func:`f_update`, and a
+    successor whose stored vector is that very tuple cannot drop. A successor equal to curr itself just adds a
     self-link. ``on_change`` also fires for each new node, from the
     all-infinite vector to its first one. The goal predicate runs once on
     each new node, decoded. curr reads closed from the moment its run
@@ -408,13 +387,11 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
     kids, lo, hi = db._kids, db._lo, db._hi
     if lo[curr]:
         raise ModelError("only open nodes can be expanded")
-    frontier = db._frontier
     ids, keys, dist, decode = db._ids, db._keys, db._dist, db._decode
     goal, goals, live = rep.goal, db._goals, db._live
     db.expansions += 1
     plus1 = tuple(x + 1 for x in dist[curr])
     plus1 = db._vectors.setdefault(plus1, plus1)
-    plus1_min = min(plus1)
     kids.append(~curr)
     lo[curr] = len(kids)
     first = n = len(keys)
@@ -428,7 +405,6 @@ def expand(db: NodeDatabase, curr: int, rep: EssmRepresentation,
             lo.append(0)
             hi.append(0)
             kids.append(i)
-            heapq.heappush(frontier, (plus1_min, i))
             n += 1
             if on_change is not None:
                 on_change(i, (INF,) * len(plus1), plus1)
@@ -570,21 +546,30 @@ def _success(db: NodeDatabase) -> SearchResult:
     raise SearchInvariantError("success reported without a qualifying goal node")
 
 
-def _drive(db: NodeDatabase, pick: Callable[[], Optional[int]],
-           grow: Callable[[int], None], limits: Optional[SearchLimits],
-           trace: Optional[Tracer]) -> SearchResult:
+def _drive(db: NodeDatabase, grow: Callable[[int], None],
+           limits: Optional[SearchLimits], trace: Optional[Tracer]) -> SearchResult:
     """The loop both searches run on a seeded database: until the stop flag
-    is up, check the caps, ``pick`` an open node (None when there is none)
-    and ``grow`` it, then report the step to ``trace``. The wall-time cap
-    counts from the loop's start."""
+    is up, check the caps, ``grow`` the open node with the smallest id, then
+    report the step to ``trace``; nothing open is failure. The wall-time
+    cap counts from the loop's start.
+
+    Id order is :func:`select`'s order, smallest min entry and earliest
+    discovered on ties, because min entries never decrease along the ids
+    of the open nodes. Let L be the min entry of the node being expanded.
+    Each new node gets L+1, and each entry a drop lowers takes a value of
+    at least L+1: the candidate is the expanded node's vector plus one, and
+    a cascade adds one per level. So every open node's min entry is L or
+    L+1, a drop leaves it as it was, and L never goes down. Expanding in id
+    order leaves the ids below ``db.expansions`` closed and the rest open."""
     deadline = None
     if limits is not None and limits.max_seconds is not None:
         deadline = time.perf_counter() + limits.max_seconds
+    keys = db._keys
     while not db._goal_reached:
         if limits is not None and _limit_hit(db, limits, deadline):
             return SearchResult(Outcome.RESOURCE_LIMIT, None, _stats(db), db)
-        curr = pick()
-        if curr is None:
+        curr = db.expansions
+        if curr == len(keys):
             return SearchResult(Outcome.FAILURE, None, _stats(db), db)
         grow(curr)
         if trace is not None:  # curr's own distances do not drop while it grows
@@ -601,10 +586,10 @@ def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
 
     The representation must be deterministic (every forward function yields
     at most one successor) and have no backward functions; a nonempty
-    backward family is rejected. The driver loop picks with :func:`select`
-    and grows with :func:`expand`. The termination condition is checked
-    once right after seeding, so a known state that is both initial and goal
-    succeeds with a zero-edge solution, and then after every expansion.
+    backward family is rejected. The driver loop grows nodes in id order
+    with :func:`expand`. The termination condition is checked once right
+    after seeding, so a known state that is both initial and goal succeeds
+    with a zero-edge solution, and then after every expansion.
     ``on_distance_update(node, old, new)`` observes every distance-vector
     change, a new node's first vector included, with a view of the node
     (audits).
@@ -617,16 +602,15 @@ def ebfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         def notify(i: int, old: tuple, new: tuple) -> None:
             on_distance_update(db.node(i), old, new)
     seed(db, rep)
-    return _drive(db, partial(select, db), partial(expand, db, rep=rep, on_change=notify),
-                  limits, trace)
+    return _drive(db, partial(expand, db, rep=rep, on_change=notify), limits, trace)
 
 
-def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: int) -> None:
+def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, curr: int) -> None:
     """bfs's expansion of node ``curr``: each unknown successor becomes an
-    open node one layer deeper, linked to curr alone, at the back of
-    ``queue``; a known one only counts as a duplicate hit. Every entry is
-    finite at the live index 0, so a new goal node raises the stop flag.
-    curr's children are the new nodes, so they are one id range."""
+    open node one layer deeper, linked to curr alone; a known one only
+    counts as a duplicate hit. Every entry is finite at the live index 0,
+    so a new goal node raises the stop flag. curr's children are the new
+    nodes, so they are one id range."""
     ids, keys, dist = db._ids, db._keys, db._dist
     lo, hi = db._lo, db._hi
     goal, decode = rep.goal, db._decode
@@ -643,7 +627,6 @@ def _grow_tree(db: NodeDatabase, rep: EssmRepresentation, queue: deque, curr: in
         dist.append(child_dist)
         lo.append(0)
         hi.append(0)
-        queue.append(n)
         if _holds(goal, "goal", k2 if decode is None else decode(k2)):
             db._goals.add(n)
             db._goal_reached = True
@@ -662,26 +645,25 @@ def bfs(rep: EssmRepresentation, limits: Optional[SearchLimits] = None,
         trace: Optional[Tracer] = None) -> SearchResult:
     """Classical breadth-first search, the single-source baseline.
 
-    It runs the loop of :func:`ebfs` with another policy: the frontier is a
-    FIFO queue seeded with the known states that satisfy the initial
-    predicate (other known states are not used), each node keeps a single
-    distance entry (its layer depth), and discovery links form a tree (the
-    first generating parent wins, repeats count as duplicate hits), so
-    nothing is relaxed and the heap stays empty. The goal check runs after
-    seeding and then after each full expansion. Requires a deterministic
-    representation with no backward functions.
+    It runs the loop of :func:`ebfs` with another policy: only the known
+    states that satisfy the initial predicate are seeded (other known states
+    are not used), each node keeps a single distance entry (its layer
+    depth), and discovery links form a tree (the first generating parent
+    wins, repeats count as duplicate hits), so nothing is relaxed and id
+    order is first-in first-out. The goal check runs after seeding and then
+    after each full expansion. Requires a deterministic representation with
+    no backward functions.
     """
     if rep.backward_fns:
         raise ModelError("backward function families are not supported by this engine")
     db = NodeDatabase()
     db._use_rep(rep)
-    queue = deque(db.add(s, (0,)) for s in rep.known_states
-                  if _holds(rep.initial, "initial", s))
-    for i in queue:
+    seeds = [db.add(s, (0,)) for s in rep.known_states
+             if _holds(rep.initial, "initial", s)]
+    for i in seeds:
         if _holds(rep.goal, "goal", db._state(i)):
             db._goals.add(i)
             db._goal_reached = True
-    db.max_open_size = len(queue)
+    db.max_open_size = len(seeds)
     db._live = (0,)
-    return _drive(db, lambda: queue.popleft() if queue else None,
-                  partial(_grow_tree, db, rep, queue), limits, trace)
+    return _drive(db, partial(_grow_tree, db, rep), limits, trace)

@@ -26,7 +26,8 @@ def test_parse_n_values_forms():
     assert parse_n_values("7,7") == (7, 7)
 
 
-@pytest.mark.parametrize("text", ["", "x", "5..", "..5", "8..5", "4,,5"])
+@pytest.mark.parametrize("text", ["", "x", "5..", "..5", "8..5", "4,,5",
+                                  "\u0664", "0_4", "\u0664..5"])
 def test_parse_n_values_rejects_garbage(text):
     with pytest.raises(ConfigError):
         parse_n_values(text)
@@ -123,6 +124,8 @@ def test_explicit_known_state_spec():
     ("4:9,9",),                        # unparseable placement
     ("4:0,0;1,1",),                    # attacking known state
     ("4:\u00b2,0",),                   # a superscript two is not a digit
+    ("solution-prefix:\u0662",),       # an Arabic-Indic two is not an ASCII digit
+    ("solution-prefix:0_2",),
 ])
 def test_bad_known_specs_are_config_errors(specs):
     with pytest.raises(ConfigError):

@@ -9,9 +9,9 @@ by a codec (states as their decimal text) with and without a key hook.
 
 After every expansion the run is checked against the independent oracles of
 ``helpers``: stored vectors equal per-source sweeps over the stored links,
-``select`` agrees with a linear scan, and the search has stopped exactly
-when a goal first got a finite entry at a live index (the index of a known
-state that satisfies ``initial``).
+``select`` agrees with a linear scan and picks the next node in id order,
+and the search has stopped exactly when a goal first got a finite entry at
+a live index (the index of a known state that satisfies ``initial``).
 """
 
 import random
@@ -119,6 +119,7 @@ def checked_run(rep, known, initial, goals):
             assert node.f_distance == tuple(want[node]), node
         ref, got = scan_select(db), select(db)
         assert (got is None and ref is None) or db.node(got) == ref
+        assert got == (db.expansions if db.expansions < len(db) else None)
         if got is not None:
             picked.append((db.node(got).state, db.node(got).min_distance()))
         steps.append((record, connected(db, live, goals, want)))

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -23,13 +22,6 @@ from essm_search.nqueens import NQueensState, empty_board
 from helpers import (graph_rep, oracle_reachable, oracle_solution_depth,
                      oracle_stored_distances, queens_rep, relay_dag_rep,
                      scan_select, three_known_rep)
-
-
-def open_node(db, state, distances):
-    """Id of a manually placed open node with a preset distance vector."""
-    i = db.add(state, distances)
-    db.mark_open(i)
-    return i
 
 
 def closed_chain(length):
@@ -95,20 +87,6 @@ def test_database_assigns_discovery_order_and_rejects_repeats():
         db.node_for("zz")
 
 
-def test_mark_open_refuses_a_closed_node():
-    rep, _ = graph_rep([], known=["a"], initial=[], goal=[])
-    db = NodeDatabase()
-    seed(db, rep)
-    a = db.node_for("a")
-    db.mark_open(a)
-    assert db.open_count == 1
-    expand(db, a, rep)
-    with pytest.raises(ModelError, match="closed"):
-        db.mark_open(a)
-    assert db.node(a).f_status is NodeStatus.CLOSED
-    assert (db.open_count, db.closed_count) == (0, 1)
-
-
 # --- keyed representations ----------------------------------------------
 
 def test_a_board_of_another_size_never_aliases_a_same_mask_state():
@@ -171,15 +149,15 @@ def test_seed_requires_an_empty_database():
 
 def test_select_prefers_smallest_min_entry():
     db = NodeDatabase()
-    open_node(db, "far", (2, INF))
-    near = open_node(db, "near", (INF, 1))
+    db.add("far", (2, INF))
+    near = db.add("near", (INF, 1))
     assert select(db) == near
 
 
 def test_select_breaks_ties_by_discovery_order():
     db = NodeDatabase()
-    first = open_node(db, "first", (1,))
-    open_node(db, "second", (1,))
+    first = db.add("first", (1,))
+    db.add("second", (1,))
     assert select(db) == first
 
 
@@ -198,20 +176,19 @@ def test_select_skips_closed_and_returns_none_when_drained():
 
 def test_select_sees_distance_drops():
     db = NodeDatabase()
-    slow = open_node(db, "slow", (5,))
-    open_node(db, "mid", (3,))
+    slow = db.add("slow", (5,))
+    db.add("mid", (3,))
     f_update(db, slow, (1,))
     assert db.node(slow).f_distance == (1,)
     assert select(db) == slow
 
 
-def test_bfs_uses_neither_select_nor_the_heap(monkeypatch):
+@pytest.mark.parametrize("search", [bfs, ebfs])
+def test_searches_never_call_select(monkeypatch, search):
     def forbidden(*args):
-        raise AssertionError("bfs reached the heap frontier")
+        raise AssertionError("the search called select")
     monkeypatch.setattr(engine, "select", forbidden)
-    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=forbidden,
-                                                         heappop=forbidden))
-    result = bfs(queens_rep(5, 3))
+    result = search(queens_rep(5, 3))
     assert result.outcome is Outcome.SUCCESS
     assert result.stats.max_open_size > 1
 
@@ -224,6 +201,7 @@ def test_select_matches_linear_scan_throughout_a_run():
     while not goal_condition(db):
         curr = select(db)
         assert db.node(curr) == scan_select(db)
+        assert curr == db.expansions
         expand(db, curr, rep)
         steps += 1
         assert steps < 10_000
@@ -627,13 +605,13 @@ def test_without_an_initial_known_state_both_searches_fail():
 
 def test_reconstruct_zero_distance_gives_single_state():
     db = NodeDatabase()
-    node = open_node(db, "s", (0,))
+    node = db.add("s", (0,))
     assert reconstruct_path(db, node, 0) == SingleStateSolution("s")
 
 
 def test_reconstruct_rejects_unreached_index():
     db = NodeDatabase()
-    node = open_node(db, "s", (INF,))
+    node = db.add("s", (INF,))
     with pytest.raises(ModelError):
         reconstruct_path(db, node, 0)
 
@@ -682,8 +660,8 @@ def test_searches_never_build_the_view_index(monkeypatch):
 
 def test_reconstruct_detects_missing_parent_gradient():
     db = NodeDatabase()
-    open_node(db, "y", (1,))
-    stuck = open_node(db, "x", (2,))
+    db.add("y", (1,))
+    stuck = db.add("x", (2,))
     with pytest.raises(SearchInvariantError):
         reconstruct_path(db, stuck, 0)
 
@@ -919,8 +897,8 @@ print(result.outcome.value, peak / result.stats.nodes_created)
 
 
 @pytest.mark.parametrize("case, bound", [("bfs, queens_rep(7)", 160),
-                                         ("ebfs, three_known_rep(7, 3)", 260),
-                                         ("ebfs, relay_dag_rep()", 200)],
+                                         ("ebfs, three_known_rep(7, 3)", 215),
+                                         ("ebfs, relay_dag_rep()", 180)],
                          ids=["bfs", "ebfs3", "relay"])
 def test_search_memory_per_node_stays_small(case, bound):
     # each case in a fresh interpreter: tracemalloc does not count tuples
